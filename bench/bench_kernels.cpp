@@ -369,15 +369,11 @@ BENCHMARK(BM_OnlineRuntimeShm)
     ->Unit(benchmark::kMillisecond);
 
 void BM_OnlineRuntimeTcp(benchmark::State& state) {
-  // The same end-to-end online run over the loopback-TCP transport with
-  // wire compression on: forked workers DIAL the master's listen socket,
-  // speak the versioned handshake, and every frame crosses a real TCP
-  // stream. Blocks/sec against BM_OnlineRuntimeProcess is the price of
-  // the socket layer over raw socketpairs; wire_MB/s is the traffic
-  // that actually hit the wire (post-compression), and compression_x is
-  // the codec's ratio (raw bytes / shipped bytes) on this workload --
-  // the initial C is all zeros, so result frames start out maximally
-  // compressible and decay as the product fills in.
+  // The same end-to-end online run over the loopback-TCP transport:
+  // forked workers DIAL the master's listen socket, speak the versioned
+  // handshake, and every frame crosses a real TCP stream. Blocks/sec
+  // against BM_OnlineRuntimeProcess is the price of a dialed TCP stream
+  // over a socketpair carrying the same frames.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto plat = platform::Platform::homogeneous(4, 0.01, 0.002, 40);
   const matrix::Partition part(n, n, n, 16);
@@ -388,15 +384,12 @@ void BM_OnlineRuntimeTcp(benchmark::State& state) {
   std::size_t blocks = 0;
   std::size_t updates = 0;
   std::size_t wire_bytes = 0;
-  std::size_t frames_compressed = 0;
-  std::size_t bytes_saved = 0;
   double serde_seconds = 0.0;
   std::size_t runs = 0;
   for (auto _ : state) {
     auto scheduler = sched::make_oddoml(plat, part);
     runtime::ExecutorOptions options;
     options.transport = runtime::TransportKind::kTcp;
-    options.wire_compression = true;
     options.verify = false;
     const runtime::ExecutorReport report =
         runtime::execute_online(scheduler, plat, part, a, b, c, options);
@@ -404,8 +397,6 @@ void BM_OnlineRuntimeTcp(benchmark::State& state) {
     updates += report.updates_performed;
     wire_bytes += report.transport_stats.bytes_sent +
                   report.transport_stats.bytes_received;
-    frames_compressed += report.transport_stats.frames_compressed;
-    bytes_saved += report.transport_stats.bytes_saved_by_compression;
     serde_seconds += report.transport_stats.serde_seconds;
     ++runs;
     benchmark::DoNotOptimize(report.wall_seconds);
@@ -417,11 +408,6 @@ void BM_OnlineRuntimeTcp(benchmark::State& state) {
   state.counters["wire_MB/s"] = benchmark::Counter(
       static_cast<double>(wire_bytes) / (1024.0 * 1024.0),
       benchmark::Counter::kIsRate);
-  const double raw_bytes = static_cast<double>(wire_bytes + bytes_saved);
-  state.counters["compression_x"] =
-      wire_bytes > 0 ? raw_bytes / static_cast<double>(wire_bytes) : 1.0;
-  state.counters["frames_compressed"] =
-      static_cast<double>(frames_compressed);
   state.counters["serde_ms"] =
       runs > 0 ? serde_seconds * 1e3 / static_cast<double>(runs) : 0.0;
 }

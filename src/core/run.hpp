@@ -7,18 +7,18 @@
 //     product on generated matrices, and the report carries the
 //     model-projected RunResult its mirror emits (same shape as the
 //     simulator) plus wall-clock and verification facts;
-//   * Backend::kProcess -- the same online runtime over the PROCESS
+//   * Backend::kProcess -- the same online runtime over the STREAM
 //     transport: one forked worker process per worker, messages
-//     serialized over socketpairs -- the in-machine reproduction of the
-//     companion report's real-cluster (MPI) deployment;
+//     serialized over a socketpair each -- the in-machine reproduction
+//     of the companion report's real-cluster (MPI) deployment;
 //   * Backend::kShm    -- the same forked isolation, but payloads live
 //     in a pre-fork shared-memory arena and only (slot, length)
 //     descriptors cross the sockets: zero-copy process isolation;
-//   * Backend::kTcp    -- the same online runtime over loopback TCP:
-//     forked workers DIAL the master's listen socket, handshake with a
-//     versioned hello and reconnect after a dropped connection -- the
-//     in-machine rehearsal of a real cluster deployment, including the
-//     fault-tolerant re-admission path.
+//   * Backend::kTcp    -- the stream transport with dialed streams:
+//     forked workers DIAL the master's loopback listen socket and
+//     reconnect after a dropped connection -- the in-machine rehearsal
+//     of a real cluster deployment, including the fault-tolerant
+//     re-admission path.
 #pragma once
 
 #include <cstdint>
@@ -105,7 +105,7 @@ struct RunReport {
   /// phase, i.e. Het).
   std::optional<sched::HetVariant> het_variant;
 
-  /// Online-backend facts (Backend::kOnline / Backend::kProcess only).
+  /// Online-backend facts (every backend but Backend::kSim).
   double online_wall_seconds = 0.0;
   bool online_verified = false;
 };

@@ -74,7 +74,7 @@ std::size_t max_payload_doubles(const matrix::Partition& part) {
 /// the forking transports spawn their workers, then restores it.
 ///
 /// Worker processes never touch the master's matrices -- every payload
-/// reaches them serialized (process transport) or through the shared
+/// reaches them serialized (stream transport) or through the shared
 /// arena (shm transport) -- yet fork() still copies the page tables of
 /// those megabytes and marks every writable page copy-on-write. The
 /// master then takes a soft fault on each C page it merges results

@@ -16,7 +16,7 @@
 //    folds returned C chunks back in (the "centralized data" hypothesis);
 //  * the transport enforces the worker-side buffer limits for real --
 //    bounded channels on the thread transport, explicit buffer credits
-//    on the process transport; a master pushing past a worker's buffers
+//    on the stream transport; a master pushing past a worker's buffers
 //    blocks -- while a model mirror keeps the ExecutionView bookkeeping
 //    schedulers read;
 //  * heterogeneity can be emulated as in the paper's experiments -- a
@@ -54,11 +54,14 @@
 namespace hmxp::runtime {
 
 struct ExecutorOptions {
-  /// Data plane the run's workers live on: kThread (in-process, the
-  /// default) or kProcess (one forked worker process per worker over a
-  /// socketpair -- real address-space isolation; a SIGKILL'd child is a
-  /// recoverable worker failure under tolerate_faults). Every other
-  /// option below behaves identically on both.
+  /// Data plane the run's workers live on (runtime/transport.hpp):
+  /// kThread (in-process, the default); or one forked worker process
+  /// per worker -- real address-space isolation, where a SIGKILL'd child
+  /// is a recoverable worker failure under tolerate_faults -- over a
+  /// socketpair stream (kProcess), a dialed loopback-TCP stream whose
+  /// dropped connections redial and rejoin (kTcp), or a shared-memory
+  /// arena (kShm). Every other option below behaves identically on all
+  /// four.
   TransportKind transport = TransportKind::kThread;
   /// Per-worker compute repetition factors (>= 1); empty means all 1.
   /// Entry i applies to worker i, mirroring the paper's slowdown trick.
@@ -103,17 +106,6 @@ struct ExecutorOptions {
   /// worker -- a throttled channel whose link speeds drift mid-run
   /// exactly like the simulator's c_i perturbation.
   double throttle_block_seconds = 0.0;
-  /// Wire-level compression on the TCP transport (zero-RLE byte codec,
-  /// runtime/wire_compress.hpp): frames above a threshold ship
-  /// compressed whenever the codec actually shrinks them. Aimed at the
-  /// bandwidth-bound regime the paper's CCR analysis prices; a no-op on
-  /// the local transports (which never serialize or are memory-bound).
-  bool wire_compression = false;
-  /// Hard ceiling on one wire frame, in bytes; 0 (the default) derives
-  /// it from the partition geometry (serde::max_frame_bytes_for). A
-  /// frame whose length prefix exceeds the ceiling is protocol
-  /// corruption: the endpoint fails cleanly instead of allocating.
-  std::size_t max_frame_bytes = 0;
 };
 
 /// Speculation telemetry: proactive duplicates the run issued and how
@@ -173,7 +165,8 @@ struct ExecutorReport {
   BufferPool::Stats buffer_pool_delta;
   /// Proactive-redundancy outcome (all zero under non-SP schedulers).
   SpeculationStats speculation;
-  /// Which transport moved the data plane ("thread" / "process").
+  /// Which transport moved the data plane ("thread" / "process" / "shm"
+  /// / "tcp").
   std::string transport;
   /// Data-plane counters: message counts on every transport, frame
   /// bytes and master-side serialization seconds on serializing ones.

@@ -3,7 +3,7 @@
 //
 //   * OWNED -- a heap vector checked out of the run's BufferPool. The
 //     thread transport moves it by value (zero-copy in-process), the
-//     process transport serializes it into socket frames.
+//     stream transport serializes it into socket frames.
 //   * ARENA VIEW -- a (pointer, length) window into a SharedArena slot.
 //     The shm transport's master packs operand panels straight into
 //     shared slots, workers compute directly from (and into) them, and

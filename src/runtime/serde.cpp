@@ -7,8 +7,6 @@
 
 #include <unistd.h>
 
-#include "runtime/wire_compress.hpp"
-
 namespace hmxp::runtime::serde {
 
 namespace {
@@ -318,40 +316,9 @@ FrameType frame_type(const std::uint8_t* body, std::size_t size) {
   require(size >= 1, "empty frame");
   const std::uint8_t type = body[0];
   require(type >= static_cast<std::uint8_t>(FrameType::kChunk) &&
-              type <= static_cast<std::uint8_t>(FrameType::kCompressed),
+              type <= static_cast<std::uint8_t>(FrameType::kGoodbye),
           "unknown frame type");
   return static_cast<FrameType>(type);
-}
-
-void encode_compressed(const std::uint8_t* body, std::size_t size,
-                       ByteBuffer& out) {
-  frame(out, [&] {
-    Writer writer(out);
-    writer.u8(static_cast<std::uint8_t>(FrameType::kCompressed));
-    writer.u64(size);
-    wire::compress(body, size, out);
-  });
-}
-
-void decode_compressed(const std::uint8_t* body, std::size_t size,
-                       std::uint64_t max_raw, ByteBuffer& raw) {
-  require(frame_type(body, size) == FrameType::kCompressed,
-          "not a compressed frame");
-  require(size >= 1 + sizeof(std::uint64_t), "truncated compressed header");
-  std::uint64_t raw_size;
-  std::memcpy(&raw_size, body + 1, sizeof raw_size);
-  // The same no-unbounded-allocation rule as the outer length prefix:
-  // the declared raw size gates the resize, so a hostile wrapper cannot
-  // expand past what the run could legitimately ship.
-  if (raw_size == 0 || raw_size > max_raw)
-    throw std::runtime_error(
-        "compressed frame declares raw size " + std::to_string(raw_size) +
-        " (limit " + std::to_string(max_raw) + " bytes): refusing to inflate");
-  raw.resize(static_cast<std::size_t>(raw_size));
-  wire::decompress(body + 1 + sizeof raw_size, size - 1 - sizeof raw_size,
-                   raw.data(), raw.size());
-  require(frame_type(raw.data(), raw.size()) != FrameType::kCompressed,
-          "nested compressed frame");
 }
 
 ChunkMessage decode_chunk(const std::uint8_t* body, std::size_t size,

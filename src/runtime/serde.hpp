@@ -1,13 +1,16 @@
-// Frame serialization for the process transport's data plane.
+// Frame serialization for every worker socket and ring: the stream
+// transport's data plane (socketpair and loopback-TCP workers), the shm
+// transport's descriptor frames, and the handshake and death notices of
+// every forked worker.
 //
-// Every message crossing a worker socket is one length-prefixed frame:
+// Every message is one length-prefixed frame:
 //
 //   [u64 length][u8 FrameType][payload...]
 //
 // where `length` counts everything after itself (type byte included).
-// Integers and doubles are host-endian raw bytes: both ends of a
-// socketpair(2) are the same machine by construction (a cross-machine
-// MPI/ssh transport would pin endianness here and change nothing else).
+// Integers and doubles are host-endian raw bytes: both ends of every
+// stream are the same machine by construction (a cross-machine MPI/ssh
+// transport would pin endianness here and change nothing else).
 //
 // Payload element vectors (the dense C / A / B windows) are checked out
 // of the caller's BufferPool on decode, so a steady-state master
@@ -32,8 +35,8 @@ enum class FrameType : std::uint8_t {
   kOperand = 2,  // master -> worker: OperandMessage
   kResult = 3,   // worker -> master: ResultMessage
   kCredit = 4,   // worker -> master: one inbox slot freed (empty payload)
-  kHello = 5,    // worker -> master: bootstrap handshake (kernel tier)
-  kError = 6,    // worker -> master: death notice with the what() text
+  kHello = 5,    // both ways: handshake (worker hello, master ack)
+  kError = 6,    // death notice / handshake rejection with the what() text
   // Descriptor twins for the zero-copy shm transport: the same message
   // metadata, but payloads are (arena slot, length) references into the
   // run's SharedArena instead of inline bytes.
@@ -41,10 +44,8 @@ enum class FrameType : std::uint8_t {
   kOperandRef = 8,  // master -> worker: OperandMessage, A/B in arena slots
   kResultRef = 9,   // worker -> master: ResultMessage, C in an arena slot
   kCancel = 10,     // master -> worker: CancelMessage (seq only, no payload)
-  kGoodbye = 11,    // master -> worker: clean shutdown (TCP: EOF without a
-                    // goodbye means the CONNECTION died -- reconnect)
-  kCompressed = 12,  // either direction: a whole frame body, zero-RLE
-                     // compressed ([u64 raw size][stream]); never nested
+  kGoodbye = 11,    // master -> worker: clean shutdown (an EOF without a
+                    // goodbye means the CONNECTION died)
 };
 
 using ByteBuffer = std::vector<std::uint8_t>;
@@ -79,7 +80,7 @@ void encode_chunk(const ChunkMessage& message, ByteBuffer& out);
 void encode_operand(const OperandMessage& message, ByteBuffer& out);
 void encode_result(const ResultMessage& message, ByteBuffer& out);
 void encode_cancel(const CancelMessage& message, ByteBuffer& out);
-/// Payload-free control frame (kCredit).
+/// Payload-free control frame (kCredit, kGoodbye).
 void encode_control(FrameType type, ByteBuffer& out);
 
 /// Handshake identity: the magic marks a peer as an hmxp worker at all,
@@ -87,11 +88,11 @@ void encode_control(FrameType type, ByteBuffer& out);
 /// wire-visible change; a mismatched peer then gets one clean error
 /// naming both versions instead of silently misparsing the next frame.
 inline constexpr std::uint32_t kProtocolMagic = 0x50584d48;  // "HMXP"
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Bootstrap handshake payload: protocol identity (magic + version),
-/// the worker's identity token and advertised host resources (TCP), and
-/// its full kernel configuration -- dispatch tier, micro-kernel
+/// the worker's identity token and advertised host resources, and its
+/// full kernel configuration -- dispatch tier, micro-kernel
 /// variant, and the tuned blocking parameters -- so the master can
 /// verify a forked worker computes with the IDENTICAL configuration it
 /// resolved (autotuned) before forking. A divergent worker (stale env
@@ -101,10 +102,9 @@ inline constexpr std::uint32_t kProtocolVersion = 1;
 struct HelloFrame {
   std::uint32_t magic = kProtocolMagic;
   std::uint32_t version = kProtocolVersion;
-  /// Per-worker identity for the TCP accept/reconnect lifecycle: a
-  /// reconnecting worker presents the same token and is re-admitted to
-  /// its endpoint instead of treated as a stranger. 0 on socketpair
-  /// transports (the fd IS the identity there).
+  /// Per-worker identity: the master's Acceptor stages every hello by
+  /// it, and a reconnecting TCP worker presents the same token to be
+  /// re-admitted to its endpoint instead of treated as a stranger.
   std::uint64_t token = 0;
   /// Advertised host resources (hardware threads, physical MiB): the
   /// per-client capability report a real cluster master tracks.
@@ -141,18 +141,6 @@ void encode_error(const std::string& what, ByteBuffer& out);
 /// hold at least kLengthBytes). RAW: trusts the wire bytes -- use
 /// checked_frame_length anywhere the value sizes an allocation.
 std::uint64_t decode_length(const std::uint8_t* data);
-
-/// Wraps one already-encoded frame BODY (type byte + payload, `size`
-/// bytes) as a complete kCompressed frame appended to `out`:
-/// [u64 length][kCompressed][u64 raw size][zero-RLE stream].
-void encode_compressed(const std::uint8_t* body, std::size_t size,
-                       ByteBuffer& out);
-/// Unwraps a kCompressed body into the original frame body. The
-/// declared raw size is validated against `max_raw` BEFORE allocating,
-/// and a nested kCompressed payload is rejected (a decompression bomb
-/// must not recurse).
-void decode_compressed(const std::uint8_t* body, std::size_t size,
-                       std::uint64_t max_raw, ByteBuffer& raw);
 
 /// Decoders for one frame BODY (type byte + payload, i.e. `length`
 /// bytes starting after the prefix). They validate the type byte and

@@ -4,7 +4,7 @@
 // same address. Operand and result element windows live in fixed-size
 // 64-byte-aligned slots inside the region; control frames on the
 // socketpair then carry (slot, length) descriptors instead of payload
-// bytes -- the serde and kernel-socket copies of the process transport
+// bytes -- the serde and kernel-socket copies of the stream transport
 // disappear from the hot path entirely.
 //
 // The arena is the cross-process sibling of runtime::BufferPool: where
@@ -16,7 +16,7 @@
 //   * the master acquires slots (tagging each with the worker it is
 //     destined for) and blocks its send path when none is free -- arena
 //     capacity is backpressure, the natural generalization of the
-//     process transport's buffer credits;
+//     stream transport's buffer credits;
 //   * a worker releases consumed operand slots directly through shared
 //     memory -- a single atomic store, so even a SIGKILL cannot leave a
 //     release half-done;

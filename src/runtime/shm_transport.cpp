@@ -1,14 +1,15 @@
 // ShmTransport: forked worker processes sharing one pre-fork mmap'd
 // payload arena -- process isolation at thread-backend speed.
 //
-// Topology: the process transport's fork model, but the ENTIRE steady
-// state lives in shared memory. Before the first fork the master
-// creates three MAP_SHARED structures every child inherits at the same
-// virtual address: a SharedArena of fixed 64-byte-aligned payload
-// slots, a SharedAckBoard of per-worker dequeue counters (the credit
-// scheme reduced to one atomic add), and a pair of SPSC frame rings
-// per worker (inbox and outbox) with futex doorbells. The master packs
-// each outbound C chunk and A/B panel straight into an arena slot (the
+// Topology: the stream transport's fork model (the shared lifecycle in
+// runtime/forked_worker.hpp), but the ENTIRE steady state lives in
+// shared memory. Before the first fork the master creates three
+// MAP_SHARED structures every child inherits at the same virtual
+// address: a SharedArena of fixed 64-byte-aligned payload slots, a
+// SharedAckBoard of per-worker dequeue counters (the credit scheme
+// reduced to one atomic add), and a pair of SPSC frame rings per worker
+// (inbox and outbox) with futex doorbells. The master packs each
+// outbound C chunk and A/B panel straight into an arena slot (the
 // executor's copy_window writes there via Endpoint::allocate_payload)
 // and commits a descriptor frame -- (slot, length) -- to the worker's
 // inbox ring with a single cursor bump. The worker computes directly
@@ -16,7 +17,7 @@
 // descriptor through its outbox ring. Zero payload copies AND zero
 // syscalls per frame on the hot path; futexes fire only when a side is
 // actually parked. The socketpair(2) per child remains, but only as
-// the bootstrap and death channel: the hello handshake, a dying
+// the bootstrap and death channel: the hello -> ack handshake, a dying
 // worker's error notice, and the EOF that announces a SIGKILL.
 //
 // Slot accounting is the run's second backpressure rule (alongside the
@@ -32,11 +33,8 @@
 // race against that reclamation from either side of a SIGKILL.
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <climits>
-#include <csignal>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <new>
 #include <stdexcept>
@@ -44,23 +42,18 @@
 #include <variant>
 #include <vector>
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/mman.h>
 #include <sys/socket.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 #if defined(__linux__)
 #include <linux/futex.h>
-#include <sys/prctl.h>
 #include <sys/syscall.h>
 #include <ctime>
 #endif
 
-#include "matrix/kernel_dispatch.hpp"
-#include "matrix/tuning.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/forked_worker.hpp"
 #include "runtime/serde.hpp"
 #include "runtime/shared_arena.hpp"
 #include "runtime/socket_util.hpp"
@@ -76,7 +69,7 @@ using Clock = std::chrono::steady_clock;
 using serde::ByteBuffer;
 using serde::FrameType;
 
-/// The shm socket carries ONLY bootstrap hello and death-notice frames
+/// The shm socket carries ONLY the handshake and death-notice frames
 /// (payloads ride the arena, descriptors the rings), so its frame
 /// budget is tiny: anything above this is protocol corruption, and the
 /// tight bound means a corrupt prefix can never drive a big allocation.
@@ -126,9 +119,9 @@ double seconds_since(Clock::time_point begin) {
 /// sequence as it pops a message from its inbox (the
 /// credit-before-compute rule); the master compares the sequence
 /// against its own send count to enforce the bounded inbox. This is
-/// the credit frame of the process transport reduced to a single
-/// atomic add -- no syscall, no bytes on the socket. The lane doubles
-/// as a cross-process condvar: a credit-starved master parks on the
+/// the credit frame of the stream transport reduced to a single atomic
+/// add -- no syscall, no bytes on the socket. The lane doubles as a
+/// cross-process condvar: a credit-starved master parks on the
 /// sequence word with a (process-shared) futex, and the worker issues
 /// a wake syscall ONLY when the lane's `waiting` flag says someone is
 /// parked -- so the syscall count scales with master stalls, not with
@@ -379,14 +372,13 @@ class SharedRingBlock {
 /// The worker's face of the shm data plane: descriptor frames popped
 /// from the inbox ring and pushed to the outbox ring, payloads resolved
 /// against the inherited arena -- zero syscalls per frame unless a side
-/// is parked. The socket carries only the bootstrap hello and a death
-/// notice. Lives entirely in the child process (which shares the
+/// is parked. Lives entirely in the child process (which shares the
 /// mapped pages, not the heap).
 class ShmWorkerPort final : public WorkerPort {
  public:
-  ShmWorkerPort(int fd, RingChannel* rings, SharedArena* arena,
-                SharedAckBoard* acks, std::size_t index)
-      : fd_(fd), rings_(rings), arena_(arena), acks_(acks), index_(index) {}
+  ShmWorkerPort(RingChannel* rings, SharedArena* arena, SharedAckBoard* acks,
+                std::size_t index)
+      : rings_(rings), arena_(arena), acks_(acks), index_(index) {}
 
   std::optional<WorkerMessage> receive() override {
     if (done_) return std::nullopt;
@@ -424,13 +416,6 @@ class ShmWorkerPort final : public WorkerPort {
     result.c.detach();
   }
 
-  void send_hello(const serde::HelloFrame& hello) {
-    tx_.clear();
-    serde::encode_hello(hello, tx_);
-    write_exact(fd_, tx_.data(), tx_.size());
-    acks_->raise_rx_hint(index_);
-  }
-
  private:
   /// Decodes the frame just popped into rx_ (shared tail of receive and
   /// try_receive): credit returned before computing, like a channel pop
@@ -456,7 +441,6 @@ class ShmWorkerPort final : public WorkerPort {
     }
   }
 
-  int fd_;
   RingChannel* rings_;
   SharedArena* arena_;
   SharedAckBoard* acks_;
@@ -466,69 +450,45 @@ class ShmWorkerPort final : public WorkerPort {
   bool done_ = false;
 };
 
-/// Child-process entry, the shm twin of the process transport's
-/// run_child (see the fork-without-exec notes there). The arena object
-/// itself arrives via the inherited heap; its PAGES are MAP_SHARED, so
-/// the child's slot releases are the master's slot releases.
-[[noreturn]] void run_child(int fd, const WorkerContext& context,
-                            RingChannel* rings, SharedArena* arena,
-                            SharedAckBoard* acks, std::size_t index,
+/// Child-process entry: handshake over the socketpair, then serve the
+/// rings. The arena object itself arrives via the inherited heap; its
+/// PAGES are MAP_SHARED, so the child's slot releases are the master's
+/// slot releases. A death notice also raises the rx hint so the master
+/// reads it on its next sweep.
+[[noreturn]] void run_child(int fd, std::uint64_t token,
+                            const WorkerContext& context, RingChannel* rings,
+                            SharedArena* arena, SharedAckBoard* acks,
+                            std::size_t index,
                             const matrix::KernelConfig& config) {
-#if defined(__linux__)
-  // An orphaned worker must not outlive a crashed master.
-  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-#endif
-  // Re-assert the master's tier, micro-kernel variant and tuned
-  // blocking: the child can never re-resolve (or re-tune) differently.
-  matrix::install_kernel_config(config);
-
-  // The child's private pool only ever serves scratch buffers (the
-  // slowdown emulation): every protocol payload lives in the arena.
-  BufferPool pool;
-  ShmWorkerPort port(fd, rings, arena, acks, index);
-  try {
-    // Answer with the configuration the child ACTUALLY runs (re-read,
-    // not echoed), so the master's verification is end-to-end.
-    port.send_hello(serde::local_hello(matrix::current_kernel_config()));
-    worker_main(context, port, pool);
-  } catch (const std::exception& error) {
-    try {
-      ByteBuffer notice;
-      serde::encode_error(error.what(), notice);
-      write_exact(fd, notice.data(), notice.size());
-      acks->raise_rx_hint(index);
-    } catch (...) {
-      // The socket is gone too; the EOF alone carries the news.
-    }
-    ::close(fd);
-    ::_exit(2);
-  } catch (...) {
-    ::close(fd);
-    ::_exit(2);
-  }
-  ::close(fd);
-  ::_exit(0);
+  run_worker_child(
+      config,
+      [&](BufferPool& pool) {
+        // The private pool only ever serves scratch buffers (the
+        // slowdown emulation): every protocol payload lives in the arena.
+        handshake(fd, token);
+        ShmWorkerPort port(rings, arena, acks, index);
+        worker_main(context, port, pool);
+      },
+      [&](const std::string& what) {
+        send_error_notice(fd, what);
+        acks->raise_rx_hint(index);
+      });
 }
 
 // ---- master side ------------------------------------------------------------
 
-class ShmEndpoint final : public Endpoint {
+class ShmEndpoint final : public ForkedEndpoint {
  public:
-  ShmEndpoint(int index, int fd, pid_t pid, std::size_t capacity,
+  ShmEndpoint(int index, pid_t pid, std::uint64_t token, std::size_t capacity,
               const serde::HelloFrame& expected_hello, RingChannel* rings,
               SharedArena* arena, SharedAckBoard* acks,
               TransportStats* stats)
-      : index_(index),
-        fd_(fd),
-        pid_(pid),
+      : ForkedEndpoint(index, pid, token, expected_hello, stats,
+                       kBootstrapFrameBytes),
         capacity_(capacity),
-        expected_hello_(expected_hello),
         rings_(rings),
         arena_(arena),
-        acks_(acks),
-        stats_(stats) {}
-
-  ~ShmEndpoint() override { teardown(); }
+        acks_(acks) {}
 
   // ----- Endpoint -----
   /// Checks out an arena slot tagged with this worker instead of a pool
@@ -548,7 +508,7 @@ class ShmEndpoint final : public Endpoint {
       // A full arena frees through worker progress (slot releases are
       // shared-memory stores -- no frame announces them): drain queued
       // results and nap briefly, re-checking for death each lap.
-      wait_io(/*want_write=*/false, /*timeout_ms=*/1);
+      wait_io_and_rings(/*timeout_ms=*/1);
     }
   }
 
@@ -572,7 +532,7 @@ class ShmEndpoint final : public Endpoint {
           static_cast<std::uint32_t>(std::min<std::size_t>(capacity_, 2));
       const std::uint32_t target =
           static_cast<std::uint32_t>(sent_) - capacity_ + refill;
-      while (!failed_ &&
+      while (!failed() &&
              static_cast<std::uint32_t>(sent_) - acked >= capacity_) {
         acks_->park(lane, acked, target, /*timeout_ms=*/10);
         pump_rings();   // a worker parked on a full outbox cannot ack
@@ -618,11 +578,11 @@ class ShmEndpoint final : public Endpoint {
 
   std::optional<ResultMessage> try_recv() override {
     pump_rings();
-    if (results_.empty() && !failed_) {
+    if (results_.empty() && !failed()) {
       // Results arrive through the ring (drained above with zero
-      // syscalls); the socket carries only the bootstrap hello, error
-      // notices and the EOF that announces death, so it is pumped at
-      // most once per millisecond (or on the worker's rx hint).
+      // syscalls); the socket carries only error notices and the EOF
+      // that announces death, so it is pumped at most once per
+      // millisecond (or on the worker's rx hint).
       gated_pump();
     }
     return pop_result();
@@ -631,7 +591,7 @@ class ShmEndpoint final : public Endpoint {
   std::optional<ResultMessage> recv() override {
     pump_rings();
     gated_pump();
-    while (results_.empty() && !failed_) {
+    while (results_.empty() && !failed()) {
       // Park on the outbox cursor; the worker's result push wakes us.
       // The bound exists because a SIGKILL'd child never pushes -- its
       // EOF, found by the gated pump below, is what breaks the wait.
@@ -644,17 +604,6 @@ class ShmEndpoint final : public Endpoint {
     return pop_result();
   }
 
-  bool failed() const override { return failed_; }
-  std::exception_ptr error() const override { return error_; }
-  bool killed() const override { return killed_; }
-
-  void kill() override {
-    if (killed_) return;
-    killed_ = true;
-    if (pid_ > 0 && !reaped_) ::kill(pid_, SIGKILL);
-    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-  }
-
   /// Reclaims everything a decommissioned worker still held: queued
   /// results release their slots back to the arena, then every slot
   /// still TAGGED with this worker -- inbox messages it never dequeued,
@@ -664,34 +613,18 @@ class ShmEndpoint final : public Endpoint {
   /// from this endpoint, so the sweep cannot double-free a live slot.
   void drain(BufferPool& pool) override {
     drained_ = true;
-    while (!results_.empty()) {
-      results_.front().c.release_to(pool);
-      results_.pop_front();
-    }
-    rx_.clear();
+    ForkedEndpoint::drain(pool);
     // The rings are left untouched: frames still sitting in them
     // reference slots tagged with this worker, so the sweep below
     // reclaims those too, and a decommissioned endpoint never pops its
-    // rings again (pump_rings guards on killed_).
+    // rings again (pump_rings guards on killed()).
     arena_->release_all_owned_by(static_cast<std::uint32_t>(index_));
   }
 
   // ----- transport-internal -----
-  void wait_hello() {
-    pump();
-    const auto deadline = Clock::now() + std::chrono::seconds(30);
-    while (!hello_seen_ && !failed_) {
-      if (Clock::now() >= deadline) {
-        mark_failed("no bootstrap hello within 30s");
-        break;
-      }
-      wait_io(/*want_write=*/false, /*timeout_ms=*/1000);
-    }
-  }
-
   void begin_shutdown() noexcept {
     discarding_ = true;
-    if (fd_ >= 0 && !killed_ && !failed_ && !drained_) {
+    if (fd_ >= 0 && !killed() && !failed() && !drained_) {
       // The zero-length sentinel is the ring world's half-close: the
       // worker pops it and exits. Bounded retries -- a worker that
       // died with a full inbox will never make room; its EOF ends the
@@ -700,23 +633,22 @@ class ShmEndpoint final : public Endpoint {
       SharedRing& inbox = rings_->inbox;
       for (int attempt = 0; attempt < 1000; ++attempt) {
         if (inbox.try_push(sentinel, sizeof sentinel)) break;
-        if (failed_ || eof_) break;
+        if (failed() || eof_) break;
         pump_rings();
         inbox.park_producer(inbox.tail.load(std::memory_order_acquire),
                             /*timeout_ms=*/1);
       }
     }
-    if (fd_ >= 0 && !killed_) ::shutdown(fd_, SHUT_WR);
+    if (fd_ >= 0 && !killed()) ::shutdown(fd_, SHUT_WR);
   }
 
   void finish_shutdown() noexcept {
     discarding_ = true;
     if (fd_ >= 0) {
       try {
-        // Bounded waits: the ring pump inside wait_io is what lets a
-        // worker parked on a full outbox drain, finish and close.
-        while (!eof_ && !failed_) wait_io(/*want_write=*/false,
-                                          /*timeout_ms=*/10);
+        // Bounded waits: the ring pump inside is what lets a worker
+        // parked on a full outbox drain, finish and close.
+        while (!eof_ && !failed()) wait_io_and_rings(/*timeout_ms=*/10);
       } catch (...) {
         // Corrupt trailing frames on a teardown path are ignorable.
       }
@@ -725,58 +657,6 @@ class ShmEndpoint final : public Endpoint {
   }
 
  private:
-  void teardown() noexcept {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    if (pid_ > 0 && !reaped_) {
-      if (failed_) ::kill(pid_, SIGKILL);
-      int status = 0;
-      while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
-      }
-      reaped_ = true;
-    }
-    // Queued results parsed but never popped would pin their slots
-    // forever; a clean run has none, an aborted one hands them back.
-    while (!results_.empty()) results_.pop_front();  // Payload releases
-  }
-
-  [[noreturn]] void throw_dead() { std::rethrow_exception(error_); }
-  void throw_if_dead() {
-    if (failed_) throw_dead();
-  }
-
-  std::optional<ResultMessage> pop_result() {
-    if (results_.empty()) return std::nullopt;
-    ResultMessage result = std::move(results_.front());
-    results_.pop_front();
-    ++stats_->messages_received;
-    return result;
-  }
-
-  void mark_failed(const std::string& reason) {
-    if (failed_) return;
-    std::string what = "worker process " + std::to_string(index_) + ": " +
-                       reason;
-    if (pid_ > 0 && !reaped_) {
-      int status = 0;
-      const pid_t reaped = ::waitpid(pid_, &status, WNOHANG);
-      if (reaped == pid_) {
-        reaped_ = true;
-        if (WIFSIGNALED(status)) {
-          what += " (killed by signal " + std::to_string(WTERMSIG(status)) +
-                  ")";
-        } else if (WIFEXITED(status)) {
-          what += " (exit status " + std::to_string(WEXITSTATUS(status)) +
-                  ")";
-        }
-      }
-    }
-    error_ = std::make_exception_ptr(std::runtime_error(what));
-    failed_ = true;
-  }
-
   /// Commits the frame encoded in tx_ to the worker's inbox ring,
   /// parking on the tail cursor if the ring is somehow full (the
   /// credit window keeps it far from full in practice). Throws if the
@@ -798,7 +678,7 @@ class ShmEndpoint final : public Endpoint {
   /// is empty; never a syscall. A decommissioned endpoint's rings are
   /// never popped: their frames reference slots drain() already swept.
   void pump_rings() {
-    if (killed_ || drained_) return;
+    if (killed() || drained_) return;
     try {
       while (rings_->outbox.try_pop(ring_rx_)) {
         if (ring_rx_.empty()) continue;  // sentinel: never sent inbound
@@ -811,9 +691,9 @@ class ShmEndpoint final : public Endpoint {
   }
 
   /// Socket pump rate-limited to the death-detection budget: drains
-  /// the socket when the worker raised its rx hint (it wrote a hello
-  /// or error frame) or when a millisecond passed since the last look
-  /// (a SIGKILL'd child raises no hint -- only an EOF).
+  /// the socket when the worker raised its rx hint (it wrote an error
+  /// frame) or when a millisecond passed since the last look (a
+  /// SIGKILL'd child raises no hint -- only an EOF).
   void gated_pump() {
     const auto now = Clock::now();
     if (acks_->take_rx_hint(static_cast<std::size_t>(index_)) ||
@@ -823,82 +703,14 @@ class ShmEndpoint final : public Endpoint {
     }
   }
 
-  void wait_io(bool want_write = false, int timeout_ms = -1) {
+  /// The socket wait with the rings drained on both sides of it.
+  void wait_io_and_rings(int timeout_ms) {
     pump_rings();
-    if (eof_ || fd_ < 0) {
-      if (!failed_) mark_failed("connection closed");
-      return;
-    }
-    struct pollfd entry;
-    entry.fd = fd_;
-    entry.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
-    entry.revents = 0;
-    const int ready = ::poll(&entry, 1, timeout_ms);
-    if (ready < 0 && errno != EINTR) {
-      mark_failed(std::string("poll failed: ") + std::strerror(errno));
-      return;
-    }
-    pump();
+    wait_io(/*want_write=*/false, timeout_ms);
     pump_rings();
   }
 
-  void pump() {
-    if (eof_ || fd_ < 0) return;
-    std::uint8_t buffer[1 << 16];
-    for (;;) {
-      const ssize_t n = ::recv(fd_, buffer, sizeof buffer, 0);
-      if (n > 0) {
-        rx_.insert(rx_.end(), buffer, buffer + n);
-        if (static_cast<std::size_t>(n) < sizeof buffer) break;
-        continue;
-      }
-      if (n == 0) {
-        eof_ = true;
-        break;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      if (errno == ECONNRESET) {
-        eof_ = true;
-        break;
-      }
-      mark_failed(std::string("recv failed: ") + std::strerror(errno));
-      return;
-    }
-    parse_frames();
-    if (eof_ && !failed_ && !discarding_)
-      mark_failed("exited unexpectedly (connection closed)");
-  }
-
-  void parse_frames() {
-    std::size_t cursor = 0;
-    while (rx_.size() - cursor >= serde::kLengthBytes) {
-      std::uint64_t length = 0;
-      try {
-        length = serde::checked_frame_length(rx_.data() + cursor,
-                                             kBootstrapFrameBytes);
-      } catch (const std::exception& error) {
-        mark_failed(error.what());
-        break;
-      }
-      if (rx_.size() - cursor - serde::kLengthBytes < length) break;
-      try {
-        dispatch(rx_.data() + cursor + serde::kLengthBytes,
-                 static_cast<std::size_t>(length));
-      } catch (const std::exception& error) {
-        mark_failed(std::string("protocol corruption: ") + error.what());
-        break;
-      }
-      cursor += serde::kLengthBytes + static_cast<std::size_t>(length);
-      stats_->bytes_received += serde::kLengthBytes +
-                                static_cast<std::size_t>(length);
-    }
-    if (cursor > 0)
-      rx_.erase(rx_.begin(),
-                rx_.begin() + static_cast<std::ptrdiff_t>(cursor));
-  }
-
-  void dispatch(const std::uint8_t* body, std::size_t size) {
+  void dispatch(const std::uint8_t* body, std::size_t size) override {
     switch (serde::frame_type(body, size)) {
       case FrameType::kResultRef: {
         const auto serde_begin = Clock::now();
@@ -909,46 +721,21 @@ class ShmEndpoint final : public Endpoint {
         results_.push_back(std::move(result));
         break;
       }
-      case FrameType::kHello: {
-        const serde::HelloFrame hello = serde::decode_hello(body, size);
-        HMXP_CHECK(hello.same_kernel_config(expected_hello_),
-                   "worker process booted with a divergent kernel "
-                   "configuration (tier/micro-kernel/tuned blocking)");
-        hello_seen_ = true;
-        break;
-      }
-      case FrameType::kError:
-        mark_failed(serde::decode_error(body, size));
-        break;
       default:
         mark_failed("unexpected frame from worker");
         break;
     }
   }
 
-  int index_;
-  int fd_;
-  pid_t pid_;
   std::size_t capacity_;
   std::uint64_t sent_ = 0;
-  serde::HelloFrame expected_hello_;
   RingChannel* rings_;
   SharedArena* arena_;
   SharedAckBoard* acks_;
-  TransportStats* stats_;
-  ByteBuffer rx_;       // socket bytes (hello / error frames)
   ByteBuffer tx_;       // per-message encode scratch
   ByteBuffer ring_rx_;  // per-frame ring pop scratch
-  std::deque<ResultMessage> results_;
   Clock::time_point last_pump_{};
-  std::exception_ptr error_;
-  bool failed_ = false;
-  bool killed_ = false;
-  bool eof_ = false;
-  bool hello_seen_ = false;
-  bool discarding_ = false;
   bool drained_ = false;
-  bool reaped_ = false;
 };
 
 class ShmTransport final : public Transport {
@@ -970,52 +757,27 @@ class ShmTransport final : public Transport {
     const serde::HelloFrame expected_hello = serde::local_hello(config);
 
     const auto count = static_cast<std::size_t>(workers);
-    std::vector<int> master_fds(count, -1);
-    std::vector<int> child_fds(count, -1);
+    SocketPairs pairs(count);
     try {
-      for (std::size_t i = 0; i < count; ++i) {
-        int fds[2];
-        HMXP_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0,
-                   "socketpair failed");
-        master_fds[i] = fds[0];
-        child_fds[i] = fds[1];
-      }
       endpoints_.reserve(count);
       for (std::size_t i = 0; i < count; ++i) {
         const WorkerContext context =
             make_worker_context(options, static_cast<int>(i), run_begin);
-
-        const pid_t pid = ::fork();
-        HMXP_CHECK(pid >= 0, "fork failed");
-        if (pid == 0) {
-          // Child: keep only this worker's own end.
-          for (std::size_t j = 0; j < count; ++j) {
-            if (master_fds[j] >= 0) ::close(master_fds[j]);
-            if (j != i && child_fds[j] >= 0) ::close(child_fds[j]);
-          }
-          run_child(child_fds[i], context, rings_.channel(i), &arena_,
-                    &acks_, i, config);  // never returns
-        }
-        ::close(child_fds[i]);
-        child_fds[i] = -1;
-        const int fd = master_fds[i];
-        const int flags = ::fcntl(fd, F_GETFL, 0);
-        HMXP_CHECK(flags >= 0 &&
-                       ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-                   "fcntl O_NONBLOCK failed");
+        const std::uint64_t token = acceptor_.token(i);
+        const pid_t pid = fork_worker(pairs.foreign_to(i));
+        if (pid == 0)
+          run_child(pairs.child_end(i), token, context, rings_.channel(i),
+                    &arena_, &acks_, i, config);  // never returns
+        acceptor_.admit(pairs.release_master(i));
         endpoints_.push_back(std::make_unique<ShmEndpoint>(
-            static_cast<int>(i), fd, pid, inbox_capacity, expected_hello,
+            static_cast<int>(i), pid, token, inbox_capacity, expected_hello,
             rings_.channel(i), &arena_, &acks_, &endpoint_stats_[i]));
       }
     } catch (...) {
-      for (std::size_t j = endpoints_.size(); j < count; ++j)
-        if (master_fds[j] >= 0) ::close(master_fds[j]);
-      for (const int fd : child_fds)
-        if (fd >= 0) ::close(fd);
       shutdown();
       throw;
     }
-    for (auto& endpoint : endpoints_) endpoint->wait_hello();
+    for (auto& endpoint : endpoints_) endpoint->wait_hello(acceptor_);
   }
 
   ~ShmTransport() override { shutdown(); }
@@ -1034,6 +796,7 @@ class ShmTransport final : public Transport {
   void shutdown() noexcept override {
     for (auto& endpoint : endpoints_) endpoint->begin_shutdown();
     for (auto& endpoint : endpoints_) endpoint->finish_shutdown();
+    acceptor_.close_all();
     if (!leak_recorded_) {
       // Every child is reaped: any slot still held is a reclamation
       // bug the stats must expose (tests assert this is 0). The final
@@ -1057,13 +820,15 @@ class ShmTransport final : public Transport {
   }
 
  private:
-  // Declared before the endpoints: they hold arena, ack-board, ring
-  // and stats-slot pointers, so all four must outlive them on every
-  // destruction path. One stats slot per endpoint (stable addresses,
-  // never resized) so concurrent fleet jobs never race on a counter.
+  // Declared before the endpoints: they hold arena, ack-board, ring,
+  // acceptor and stats-slot pointers, so all five must outlive them on
+  // every destruction path. One stats slot per endpoint (stable
+  // addresses, never resized) so concurrent fleet jobs never race on a
+  // counter.
   SharedArena arena_;
   SharedAckBoard acks_;
   SharedRingBlock rings_;
+  Acceptor acceptor_;
   std::vector<TransportStats> endpoint_stats_;
   std::vector<std::unique_ptr<ShmEndpoint>> endpoints_;
   std::size_t leaked_slots_ = 0;

@@ -4,12 +4,19 @@
 #include <cstring>
 #include <string>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include "runtime/serde.hpp"
 
 namespace hmxp::runtime {
+
+void set_tcp_nodelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
 
 bool read_exact(int fd, std::uint8_t* out, std::size_t size, bool start) {
   std::size_t done = 0;

@@ -1,8 +1,9 @@
-// Blocking socket I/O shared by every socket-carrying transport: the
-// process transport's data plane, the shm transport's bootstrap/death
-// channel, and both sides of the TCP transport. One implementation of
-// the EINTR-retry / MSG_NOSIGNAL discipline instead of a copy per
-// transport -- and one place where "the peer vanished" is classified.
+// Blocking socket I/O shared by every socket-carrying transport: both
+// sides of the stream transport (socketpair and TCP workers), the shm
+// transport's bootstrap/death channel, and the service wire. One
+// implementation of the EINTR-retry / MSG_NOSIGNAL discipline instead
+// of a copy per transport -- and one place where "the peer vanished" is
+// classified.
 //
 // Death classification matters to the fault-tolerant path: an EOF in
 // the middle of a frame (or mid-handshake) means the PEER died, which a
@@ -15,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace hmxp::runtime {
@@ -28,6 +30,23 @@ class PeerDisconnected : public std::runtime_error {
   explicit PeerDisconnected(const std::string& what)
       : std::runtime_error(what) {}
 };
+
+/// Thrown from a fault_hook inside a TCP worker to sever its connection
+/// mid-run WITHOUT killing the process: the worker closes its socket
+/// abruptly (no goodbye, no error notice), the master observes a dead
+/// connection and recovers the orphaned chunk, and the worker redials
+/// and re-handshakes -- the disconnect/reconnect lifecycle a real
+/// cluster run would see on a flaky link. A worker whose link cannot be
+/// re-made (a socketpair, a thread) dies of it like any other exception.
+class TcpDisconnectFault : public PeerDisconnected {
+ public:
+  explicit TcpDisconnectFault(const std::string& what)
+      : PeerDisconnected(what) {}
+};
+
+/// Disables Nagle on a TCP socket: credits and cancels are
+/// latency-critical one-liners that must never wait behind a payload.
+void set_tcp_nodelay(int fd);
 
 /// Reads exactly `size` bytes from a blocking fd; returns false on a
 /// clean EOF at a frame boundary (`start` == true, nothing read yet),

@@ -42,8 +42,6 @@ TransportStats& TransportStats::operator+=(const TransportStats& other) {
   arena_slots += other.arena_slots;
   arena_peak_slots += other.arena_peak_slots;
   arena_leaked_slots += other.arena_leaked_slots;
-  frames_compressed += other.frames_compressed;
-  bytes_saved_by_compression += other.bytes_saved_by_compression;
   return *this;
 }
 
@@ -63,13 +61,11 @@ std::unique_ptr<Transport> make_transport(
       return make_thread_transport(workers, inbox_capacity, options,
                                    run_begin, pool);
     case TransportKind::kProcess:
-      return make_process_transport(workers, inbox_capacity, options,
-                                    run_begin, pool, max_payload_doubles);
+    case TransportKind::kTcp:
+      return make_stream_transport(kind, workers, inbox_capacity, options,
+                                   run_begin, pool, max_payload_doubles);
     case TransportKind::kShm:
       return make_shm_transport(workers, inbox_capacity, options, run_begin,
-                                pool, max_payload_doubles);
-    case TransportKind::kTcp:
-      return make_tcp_transport(workers, inbox_capacity, options, run_begin,
                                 pool, max_payload_doubles);
   }
   HMXP_CHECK(false, "unknown transport kind");

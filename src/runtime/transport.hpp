@@ -5,31 +5,39 @@
 //
 // The master loop (runtime/executor.cpp) is written against this
 // interface only; it never touches a channel, a thread, or a file
-// descriptor. Two transports implement it:
+// descriptor. Three transports implement its four kinds:
 //
-//   * ThreadTransport  (thread_transport.cpp) -- one std::thread per
-//     worker over bounded in-process channels. Zero-copy: messages move
-//     by value, payload vectors cycle through the shared BufferPool.
-//     Behaviour-identical to the pre-transport executor.
-//   * ProcessTransport (process_transport.cpp) -- one forked worker
-//     PROCESS per worker over a socketpair(2), messages serialized as
-//     length-prefixed frames (runtime/serde.hpp). The real isolation of
-//     the paper's MPI deployment: a SIGKILL'd child is a first-class
+//   * ThreadTransport (thread_transport.cpp, kThread) -- one std::thread
+//     per worker over bounded in-process channels. Zero-copy: messages
+//     move by value, payload vectors cycle through the shared
+//     BufferPool.
+//   * StreamTransport (stream_transport.cpp, kProcess and kTcp) -- one
+//     forked worker PROCESS per worker over one byte stream, messages
+//     serialized as length-prefixed frames (runtime/serde.hpp). The
+//     kinds differ only in where a worker's fd comes from: a pre-fork
+//     socketpair(2) end (kProcess), or a dial to the master's loopback
+//     listen socket (kTcp), whose dropped connections may come back --
+//     the worker redials and is re-admitted mid-run. The real isolation
+//     of the paper's MPI deployment: a SIGKILL'd child is a first-class
 //     worker failure the master survives under tolerate_faults.
-//   * ShmTransport (shm_transport.cpp) -- forked workers whose whole
-//     data plane lives in pre-fork MAP_SHARED memory: payloads in a
-//     SharedArena, descriptor frames (slot, length) in per-worker SPSC
+//   * ShmTransport (shm_transport.cpp, kShm) -- forked workers whose
+//     whole data plane lives in pre-fork MAP_SHARED memory: payloads in
+//     a SharedArena, descriptor frames (slot, length) in per-worker SPSC
 //     byte rings, and dequeue acknowledgements on a futex-backed shared
 //     ack board. The socketpair survives only as the bootstrap and
-//     death channel (hello, worker error reports, EOF on child exit).
-//     Zero-copy ACROSS the process boundary: process isolation at
-//     thread-backend speed.
+//     death channel (handshake, worker error reports, EOF on child
+//     exit). Zero-copy ACROSS the process boundary: process isolation
+//     at thread-backend speed.
+//
+// The two fork-based transports share one worker-process lifecycle
+// (runtime/forked_worker.hpp): spawning, the hello -> ack handshake,
+// death classification and reaping.
 //
 // All preserve the semantic load-bearing bound of the simulator's
 // engine: a worker's inbox holds at most `inbox_capacity` messages (the
 // chunk plus prefetch_depth + 1 operand batches), so a master pushing
 // past a worker's buffer capacity BLOCKS -- channels enforce it with
-// their queue bound, the process transport with explicit buffer credits
+// their queue bound, the stream transport with explicit buffer credits
 // the worker returns as it dequeues, the shm transport by comparing its
 // sent counter against the worker's ack-board dequeue counter. A
 // real-cluster (MPI/ssh) transport is a drop-in implementation of the
@@ -67,7 +75,7 @@ struct TransportStats {
   std::size_t bytes_sent = 0;         // serialized frame bytes out
   std::size_t bytes_received = 0;     // serialized frame bytes in
   /// Master-side wall seconds spent encoding and decoding frames: the
-  /// serialization overhead the process backend pays per run.
+  /// serialization overhead the stream transport pays per run.
   double serde_seconds = 0.0;
   /// Payload bytes that crossed the process boundary WITHOUT being
   /// copied (shm transport: bytes referenced by descriptor frames).
@@ -78,13 +86,6 @@ struct TransportStats {
   std::size_t arena_slots = 0;
   std::size_t arena_peak_slots = 0;
   std::size_t arena_leaked_slots = 0;
-  /// Wire-compression outcome (TCP transport with
-  /// ExecutorOptions::wire_compression on): master-side frames that
-  /// shipped compressed, and the bytes the codec removed from them. The
-  /// sender keeps a frame raw when compression fails to shrink it, so
-  /// incompressible traffic leaves both counters at 0.
-  std::size_t frames_compressed = 0;
-  std::size_t bytes_saved_by_compression = 0;
 
   /// Field-wise accumulation. Transports keep one stats slot PER
   /// endpoint (each endpoint writes only its own, so two master loops
@@ -137,14 +138,14 @@ class Endpoint {
   virtual void drain(BufferPool& pool) = 0;
 
   /// Checks out payload storage for a message headed to THIS worker.
-  /// The default hands out a pool vector (thread/process transports);
+  /// The default hands out a pool vector (thread/stream transports);
   /// the shm endpoint instead acquires an arena slot tagged with this
   /// worker, blocking -- and pumping its socket -- while the arena is
   /// full, which makes arena capacity part of the backpressure rule.
   virtual Payload allocate_payload(std::size_t size, BufferPool& pool);
 
   /// Worker re-admission: a transport whose workers can come BACK (the
-  /// TCP transport's reconnect lifecycle) reports here that a failed
+  /// kTcp stream's reconnect lifecycle) reports here that a failed
   /// worker re-established its connection -- the endpoint is healthy
   /// again (fresh connection, credits reset, sticky failure cleared)
   /// and the master may resume scheduling it. The master polls this
@@ -177,7 +178,7 @@ class Transport {
 /// `inbox_capacity` is the bounded per-worker inbox depth (the chunk
 /// message plus prefetch_depth + 1 operand slots). `pool` is the
 /// master-side payload pool: the thread transport shares it with its
-/// workers (zero-copy), the process transport recycles master-side
+/// workers (zero-copy), the stream transport recycles master-side
 /// encode/decode buffers through it while each child owns a private
 /// pool in its own address space. `max_payload_doubles` is the largest
 /// single payload the run can ship (from the partition geometry): the
@@ -194,17 +195,14 @@ std::unique_ptr<Transport> make_thread_transport(
     int workers, std::size_t inbox_capacity, const ExecutorOptions& options,
     std::chrono::steady_clock::time_point run_begin, BufferPool* pool);
 
-std::unique_ptr<Transport> make_process_transport(
-    int workers, std::size_t inbox_capacity, const ExecutorOptions& options,
+/// `kind` is kProcess or kTcp.
+std::unique_ptr<Transport> make_stream_transport(
+    TransportKind kind, int workers, std::size_t inbox_capacity,
+    const ExecutorOptions& options,
     std::chrono::steady_clock::time_point run_begin, BufferPool* pool,
     std::size_t max_payload_doubles);
 
 std::unique_ptr<Transport> make_shm_transport(
-    int workers, std::size_t inbox_capacity, const ExecutorOptions& options,
-    std::chrono::steady_clock::time_point run_begin, BufferPool* pool,
-    std::size_t max_payload_doubles);
-
-std::unique_ptr<Transport> make_tcp_transport(
     int workers, std::size_t inbox_capacity, const ExecutorOptions& options,
     std::chrono::steady_clock::time_point run_begin, BufferPool* pool,
     std::size_t max_payload_doubles);

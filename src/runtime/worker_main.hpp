@@ -1,7 +1,8 @@
 // The worker side of the runtime protocol, extracted so it runs
 // IDENTICALLY in a std::thread (ThreadTransport) and in a forked child
-// process (ProcessTransport): receive a chunk, then per step receive an
-// operand batch, perform the real block updates (with the paper's
+// process (StreamTransport, ShmTransport): receive a chunk, then per
+// step receive an operand batch, perform the real block updates (with
+// the paper's
 // emulated slowdown, the wall-clock perturbation schedule, scheduled
 // faults and the fault-injection hook), and hand the finished chunk
 // back with its measured per-step latencies.
@@ -10,8 +11,8 @@
 // loop itself never knows whether its messages cross a channel or a
 // socket. Errors propagate by exception to the caller, which owns the
 // transport-specific death protocol (a thread records the exception and
-// closes its channels; a child process exits non-zero and lets the
-// socket EOF carry the news).
+// closes its channels; a child process ships a kError notice, exits
+// non-zero and lets the socket EOF carry the rest).
 #pragma once
 
 #include <chrono>
@@ -40,7 +41,7 @@ struct WorkerContext {
 
 struct ExecutorOptions;  // executor.hpp; broken include cycle
 
-/// The one snapshot rule both transports share: worker `index`'s
+/// The one snapshot rule every transport shares: worker `index`'s
 /// context from the run's options (schedules and hook stay pointers
 /// into `options`, which must outlive the worker).
 WorkerContext make_worker_context(const ExecutorOptions& options, int index,

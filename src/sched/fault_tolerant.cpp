@@ -80,13 +80,19 @@ void FaultTolerantScheduler::absorb_failures(const sim::ExecutionView& view) {
     in_flight_.assign(workers, std::nullopt);
   }
   for (std::size_t w = 0; w < workers; ++w) {
-    // Confirm completions from the view's ground truth: the shadow
-    // clears only once the worker's returned-chunk count moved past
-    // its assign-time value.
+    // Confirm completions and losses from the view's ground truth: the
+    // shadow clears once the worker's returned-chunk count moved past
+    // its assign-time value, and becomes an orphan once its lost-chunk
+    // count did.
+    const sim::WorkerProgress& progress = view.progress(static_cast<int>(w));
     if (in_flight_[w].has_value() &&
-        view.progress(static_cast<int>(w)).chunks_returned >
-            in_flight_[w]->returned_before)
+        progress.chunks_returned > in_flight_[w]->returned_before)
       in_flight_[w].reset();
+    if (in_flight_[w].has_value() &&
+        progress.chunks_lost > in_flight_[w]->lost_before) {
+      orphans_.push_back(std::move(in_flight_[w]->plan));
+      in_flight_[w].reset();
+    }
     if (!known_alive_[w]) {
       // A worker can come BACK (TCP reconnect re-admission): re-arm the
       // death detector, or a second loss of the same worker would slip
@@ -160,8 +166,9 @@ sim::Decision FaultTolerantScheduler::track(const sim::ExecutionView& view,
   if (decision.kind == sim::Decision::Kind::kComm &&
       decision.comm == sim::CommKind::kSendC) {
     const auto w = static_cast<std::size_t>(decision.worker);
+    const sim::WorkerProgress& progress = view.progress(decision.worker);
     in_flight_[w] =
-        Shadow{decision.chunk, view.progress(decision.worker).chunks_returned};
+        Shadow{decision.chunk, progress.chunks_returned, progress.chunks_lost};
   }
   return decision;
 }

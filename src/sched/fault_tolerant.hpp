@@ -57,13 +57,17 @@ class FaultTolerantScheduler final : public sim::Scheduler {
 
  private:
   /// Shadow of a chunk handed to a worker, plus the worker's
-  /// chunks_returned count at assign time: the chunk is confirmed done
-  /// only once the view's count moves past it. (A returned RecvC
-  /// decision proves nothing -- the online backend rolls a decision
-  /// back when the worker dies under its real half.)
+  /// chunks_returned and chunks_lost counts at assign time: the chunk is
+  /// confirmed done only once the view's returned count moves past it
+  /// (a returned RecvC decision proves nothing -- the online backend
+  /// rolls a decision back when the worker dies under its real half),
+  /// and confirmed lost once the lost count does -- even when the worker
+  /// died and was re-admitted between two decisions, so that this
+  /// wrapper never saw it dead.
   struct Shadow {
     sim::ChunkPlan plan;
     model::BlockCount returned_before = 0;
+    model::BlockCount lost_before = 0;
   };
 
   std::string name_;

@@ -123,6 +123,27 @@ TEST(EngineFaults, SnapshotRestoreRewindsFailure) {
   EXPECT_FALSE(engine.alive(1));
 }
 
+TEST(FaultTolerant, ChunkLostToAFailureTheWrapperNeverSawIsReissued) {
+  // The online master can fail a worker and re-admit it (a reconnected
+  // TCP worker) between two decisions, so the wrapper never sees it
+  // dead. Its in-flight chunk is lost all the same -- chunks_lost says
+  // so -- and must be re-issued, or the run stalls with work pending.
+  const auto plat = stress_platform();
+  const auto part = stress_partition();
+  sim::Engine engine(plat, part);
+  auto scheduler = sched::Registry::instance().make("FT-ODDOML", plat, part);
+  while (!engine.progress(1).has_chunk) {
+    const sim::Decision decision = scheduler->next(engine);
+    ASSERT_EQ(decision.kind, sim::Decision::Kind::kComm);
+    engine.execute(decision);
+  }
+  engine.fail_worker(1);
+  engine.revive_worker(1);
+
+  const sim::RunResult result = sim::run(*scheduler, engine);
+  EXPECT_EQ(result.updates, kStressUpdates);
+}
+
 // ---- orphan re-planning -----------------------------------------------------
 
 TEST(FaultTolerant, ReplanSplitsChunksToFitSmallerMemory) {
