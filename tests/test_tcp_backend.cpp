@@ -1,66 +1,50 @@
-// Tests for the TCP transport and the wire-hardening around it: the
-// versioned hello handshake (magic + protocol version, errors naming
-// both versions), frame-length validation (a corrupt 8-byte prefix must
-// fail the connection cleanly, never size an allocation), the shared
-// socket I/O helpers' death classification (mid-frame EOF is a distinct
-// peer-died error), the zero-RLE wire codec, loopback-TCP live and
-// replay parity with the thread transport for every registered
-// scheduler, and the disconnect/reconnect lifecycle: a worker severed
-// mid-run redials, is re-admitted, and the run completes bit-for-bit
-// equal to the fault-free product.
+// Tests for the stream transport over loopback TCP (kTcp) and the wire
+// hardening around it: the versioned hello handshake (magic + protocol
+// version, errors naming both versions), frame-length validation (a
+// corrupt 8-byte prefix must fail the connection cleanly, never size an
+// allocation), and the shared socket helpers' death classification
+// (mid-frame EOF is a distinct peer-died error).
 //
-// Like the process suite, everything that forks skips under TSan.
+// Then the shared stream suite (stream_backend_suite.hpp) instantiated for
+// the dialed fd source, and what only TCP has: the disconnect/reconnect
+// lifecycle -- a worker severed mid-run redials, is re-admitted, and the
+// run completes bit-for-bit equal to the fault-free product. Last, over
+// all four transports: a master that aborts while a worker still holds
+// queued operands shuts down promptly (a TCP worker once took the EOF
+// behind the goodbye for a dropped link and redialed into a handshake).
+//
+// Everything that forks SKIPS under ThreadSanitizer; the in-process serde
+// and socket-helper tests keep running there.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "core/run.hpp"
-#include "matrix/matrix.hpp"
+#include "runtime/buffer_pool.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/serde.hpp"
 #include "runtime/socket_util.hpp"
-#include "runtime/tcp_transport.hpp"
-#include "runtime/wire_compress.hpp"
-#include "sched/registry.hpp"
-#include "sim/scheduler.hpp"
-#include "util/rng.hpp"
-
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define HMXP_TSAN 1
-#endif
-#elif defined(__SANITIZE_THREAD__)
-#define HMXP_TSAN 1
-#endif
-
-#if defined(HMXP_TSAN)
-#define HMXP_SKIP_UNDER_TSAN()                                   \
-  GTEST_SKIP() << "tcp transport forks worker processes, which " \
-                  "ThreadSanitizer does not support"
-#else
-#define HMXP_SKIP_UNDER_TSAN() \
-  do {                         \
-  } while (false)
-#endif
+#include "stream_backend_suite.hpp"
 
 namespace hmxp::runtime {
 namespace {
 
-matrix::Matrix random_matrix(std::size_t rows, std::size_t cols,
-                             std::uint64_t seed) {
-  util::Rng rng(seed);
-  return matrix::Matrix::random(rows, cols, rng);
-}
-
 // ---- versioned handshake ----------------------------------------------------
 
-TEST(TcpSerde, HelloFrameRoundTripsIdentityAndResources) {
+TEST(HandshakeSerde, HelloFrameRoundTripsIdentityAndResources) {
   serde::HelloFrame hello;
   hello.token = 0xfeedfacecafe01ull;
   hello.cores = 48;
@@ -92,7 +76,7 @@ TEST(TcpSerde, HelloFrameRoundTripsIdentityAndResources) {
   EXPECT_FALSE(other_host.same_kernel_config(hello));
 }
 
-TEST(TcpSerde, VersionMismatchNamesBothVersions) {
+TEST(HandshakeSerde, VersionMismatchNamesBothVersions) {
   serde::HelloFrame hello;
   hello.version = serde::kProtocolVersion + 7;
   serde::ByteBuffer wire;
@@ -114,7 +98,7 @@ TEST(TcpSerde, VersionMismatchNamesBothVersions) {
   }
 }
 
-TEST(TcpSerde, BadMagicIsNotAWorker) {
+TEST(HandshakeSerde, BadMagicIsNotAWorker) {
   serde::HelloFrame hello;
   hello.magic = 0x47455420;  // "GET " -- some stray HTTP client
   serde::ByteBuffer wire;
@@ -132,7 +116,7 @@ TEST(TcpSerde, BadMagicIsNotAWorker) {
 
 // ---- frame-length validation ------------------------------------------------
 
-TEST(TcpSerde, CheckedFrameLengthRefusesCorruptPrefixes) {
+TEST(HandshakeSerde, CheckedFrameLengthRefusesCorruptPrefixes) {
   const std::uint64_t limit = serde::max_frame_bytes_for(1000);
   EXPECT_LT(limit, serde::kMaxFrameBytes);
 
@@ -252,209 +236,15 @@ TEST(SocketUtil, GarbageBodyFailsInTheDecoderNotTheTransport) {
                std::runtime_error);
 }
 
-// ---- zero-RLE wire codec ----------------------------------------------------
+// ---- the shared stream suite over loopback TCP ------------------------------
 
-TEST(WireCompress, RoundTripsAndShrinksZeroRuns) {
-  std::vector<std::uint8_t> raw(4096, 0);
-  for (std::size_t i = 0; i < raw.size(); i += 97) raw[i] = 0xC3;
-
-  std::vector<std::uint8_t> packed;
-  wire::compress(raw.data(), raw.size(), packed);
-  EXPECT_LT(packed.size(), raw.size() / 4);
-
-  std::vector<std::uint8_t> unpacked(raw.size());
-  wire::decompress(packed.data(), packed.size(), unpacked.data(),
-                   unpacked.size());
-  EXPECT_EQ(unpacked, raw);
-
-  // Incompressible input round-trips too (the codec may expand it; the
-  // SENDER keeps such frames raw, the codec just has to be correct).
-  std::vector<std::uint8_t> noise;
-  for (std::size_t i = 0; i < 257; ++i)
-    noise.push_back(static_cast<std::uint8_t>(i * 131 + 7));
-  packed.clear();
-  wire::compress(noise.data(), noise.size(), packed);
-  std::vector<std::uint8_t> back(noise.size());
-  wire::decompress(packed.data(), packed.size(), back.data(), back.size());
-  EXPECT_EQ(back, noise);
-}
-
-TEST(WireCompress, CorruptStreamsThrowInsteadOfOverflowing) {
-  // A zero-run that overflows the declared raw size.
-  const std::uint8_t overflow[] = {0x00, 0xFF};  // 256 zeros
-  std::uint8_t small[8];
-  EXPECT_THROW(wire::decompress(overflow, sizeof overflow, small,
-                                sizeof small),
-               std::runtime_error);
-  // A run marker with no count byte.
-  const std::uint8_t truncated[] = {0x42, 0x00};
-  EXPECT_THROW(wire::decompress(truncated, sizeof truncated, small,
-                                sizeof small),
-               std::runtime_error);
-  // A stream that ends before filling the declared raw size.
-  const std::uint8_t short_stream[] = {0x01, 0x02};
-  EXPECT_THROW(wire::decompress(short_stream, sizeof short_stream, small,
-                                sizeof small),
-               std::runtime_error);
-}
-
-TEST(WireCompress, CompressedFramesRejectBombsAndNesting) {
-  // A legitimate wrapped frame round-trips.
-  std::vector<std::uint8_t> body(2048, 0);
-  body[0] = 3;  // FrameType::kResult, rest zeros: highly compressible
-  serde::ByteBuffer wrapped;
-  serde::encode_compressed(body.data(), body.size(), wrapped);
-  EXPECT_LT(wrapped.size(), body.size());
-  const std::uint64_t length = serde::decode_length(wrapped.data());
-  serde::ByteBuffer raw;
-  serde::decode_compressed(wrapped.data() + serde::kLengthBytes,
-                           static_cast<std::size_t>(length), kTestFrameLimit,
-                           raw);
-  ASSERT_EQ(raw.size(), body.size());
-  EXPECT_EQ(0, std::memcmp(raw.data(), body.data(), body.size()));
-
-  // A decompression bomb: tiny stream declaring a huge raw size.
-  serde::ByteBuffer bomb;
-  serde::encode_compressed(body.data(), body.size(), bomb);
-  const std::uint64_t fake_raw = 1ull << 55;
-  std::memcpy(bomb.data() + serde::kLengthBytes + 1, &fake_raw,
-              sizeof fake_raw);
-  const std::uint64_t bomb_length = serde::decode_length(bomb.data());
-  try {
-    serde::decode_compressed(bomb.data() + serde::kLengthBytes,
-                             static_cast<std::size_t>(bomb_length),
-                             kTestFrameLimit, raw);
-    FAIL() << "expected the declared raw size to be refused";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("refusing to inflate"),
-              std::string::npos)
-        << error.what();
-  }
-
-  // Nesting: a kCompressed frame whose payload is itself kCompressed
-  // must be rejected, not recursed into.
-  serde::ByteBuffer inner;
-  serde::encode_compressed(body.data(), body.size(), inner);
-  serde::ByteBuffer outer;
-  serde::encode_compressed(inner.data() + serde::kLengthBytes,
-                           inner.size() - serde::kLengthBytes, outer);
-  const std::uint64_t outer_length = serde::decode_length(outer.data());
-  EXPECT_THROW(
-      serde::decode_compressed(outer.data() + serde::kLengthBytes,
-                               static_cast<std::size_t>(outer_length),
-                               kTestFrameLimit, raw),
-      std::runtime_error);
-}
-
-// ---- loopback-TCP parity ----------------------------------------------------
-
-platform::Platform hetero_platform() {
-  std::vector<platform::WorkerSpec> specs = {
-      {0.010, 0.001, 30, "alpha"},
-      {0.013, 0.002, 60, "beta"},
-      {0.017, 0.0015, 140, "gamma"},
-  };
-  return platform::Platform("parity", specs);
-}
-
-struct TransportRun {
-  ExecutorReport report;
-  std::vector<sim::Decision> decisions;
-  matrix::Matrix c;
-};
-
-TransportRun run_transport(sim::Scheduler& scheduler, TransportKind transport,
-                           const platform::Platform& plat,
-                           const matrix::Partition& part) {
-  const auto a = random_matrix(part.n_a(), part.n_ab(), 11);
-  const auto b = random_matrix(part.n_ab(), part.n_b(), 12);
-  TransportRun run{.report = {}, .decisions = {},
-                   .c = random_matrix(part.n_a(), part.n_b(), 13)};
-  ExecutorOptions options;
-  options.transport = transport;
-  run.report = execute_online(scheduler, plat, part, a, b, run.c, options,
-                              &run.decisions);
-  return run;
-}
-
-TransportRun run_live(const std::string& algorithm, TransportKind transport,
-                      const platform::Platform& plat,
-                      const matrix::Partition& part) {
-  auto scheduler = sched::Registry::instance().make(algorithm, plat, part);
-  return run_transport(*scheduler, transport, plat, part);
-}
-
-TEST(TcpBackend, EveryRegisteredSchedulerLiveParityWithThreadTransport) {
-  HMXP_SKIP_UNDER_TSAN();
-  // Same order-invariant live guarantee the process suite pins: on a
-  // homogeneous platform every registered scheduler completes over
-  // loopback TCP with a verified product, the same decision count as
-  // the thread transport (drift-reactive SP-* excepted) and
-  // bit-for-bit the same C whatever the interleaving.
-  const auto plat = platform::Platform::homogeneous(3, 0.01, 0.002, 40);
-  const matrix::Partition part(52, 70, 100, 8);  // q=8: r=7, t=9, s=13
-
-  for (const std::string& algorithm : sched::Registry::instance().names()) {
-    SCOPED_TRACE(algorithm);
-    const TransportRun threaded =
-        run_live(algorithm, TransportKind::kThread, plat, part);
-    const TransportRun dialed =
-        run_live(algorithm, TransportKind::kTcp, plat, part);
-
-    EXPECT_TRUE(threaded.report.verified);
-    EXPECT_TRUE(dialed.report.verified);
-    EXPECT_EQ(dialed.report.transport, "tcp");
-    EXPECT_EQ(dialed.report.workers_failed, 0);
-    EXPECT_EQ(dialed.report.workers_rejoined, 0);
-
-    if (algorithm.rfind("SP-", 0) != 0) {
-      EXPECT_EQ(dialed.decisions.size(), threaded.decisions.size());
-      EXPECT_EQ(dialed.report.updates_performed,
-                threaded.report.updates_performed);
-      EXPECT_EQ(dialed.report.chunks_processed,
-                threaded.report.chunks_processed);
-    }
-    EXPECT_EQ(matrix::Matrix::max_abs_diff(dialed.c, threaded.c), 0.0);
-  }
-}
-
-TEST(TcpBackend, EveryRegisteredSchedulerReplaysIdenticallyOverTcp) {
-  HMXP_SKIP_UNDER_TSAN();
-  // The deterministic half: each scheduler's simulated schedule replays
-  // over loopback TCP with the exact simulated decision sequence, the
-  // bit-identical model projection, and bit-for-bit the thread
-  // transport's C.
-  const platform::Platform plat = hetero_platform();
-  const matrix::Partition part(52, 70, 100, 8);
-
-  for (const std::string& algorithm : sched::Registry::instance().names()) {
-    SCOPED_TRACE(algorithm);
-    auto probe = sched::Registry::instance().make(algorithm, plat, part);
-    std::vector<sim::Decision> simulated;
-    const sim::RunResult sim_result =
-        sim::simulate(*probe, plat, part, false, &simulated);
-
-    TransportRun runs[2];
-    const TransportKind kinds[2] = {TransportKind::kThread,
-                                    TransportKind::kTcp};
-    for (int which = 0; which < 2; ++which) {
-      sim::ReplayScheduler replay(algorithm, simulated);
-      runs[which] = run_transport(replay, kinds[which], plat, part);
-      const TransportRun& run = runs[which];
-      EXPECT_TRUE(run.report.verified);
-      ASSERT_EQ(run.decisions.size(), simulated.size());
-      for (std::size_t i = 0; i < simulated.size(); ++i) {
-        EXPECT_EQ(run.decisions[i].comm, simulated[i].comm)
-            << transport_kind_name(kinds[which]) << " decision " << i;
-        EXPECT_EQ(run.decisions[i].worker, simulated[i].worker)
-            << transport_kind_name(kinds[which]) << " decision " << i;
-      }
-      EXPECT_DOUBLE_EQ(run.report.result.makespan, sim_result.makespan);
-      EXPECT_EQ(run.report.result.comm_blocks, sim_result.comm_blocks);
-    }
-    EXPECT_EQ(matrix::Matrix::max_abs_diff(runs[1].c, runs[0].c), 0.0);
-  }
-}
+INSTANTIATE_TEST_SUITE_P(
+    FdSource, StreamBackend,
+    ::testing::Values(StreamKind{TransportKind::kTcp,
+                                 core::Backend::kTcp,
+                                 "tcp",
+                                 {"loopback-tcp", "SOCKET"}}),
+    stream_kind_name);
 
 // ---- disconnect / reconnect lifecycle ---------------------------------------
 
@@ -521,83 +311,112 @@ TEST(TcpBackend, DisconnectedWorkerReconnectsAndRecoversBitForBit) {
       << "disconnected worker was never re-admitted in 5 attempts";
 }
 
-// ---- wire compression -------------------------------------------------------
+// ---- a master that aborts mid-run, on every transport -----------------------
 
-TEST(TcpBackend, WireCompressionShrinksTrafficAndPreservesBits) {
-  HMXP_SKIP_UNDER_TSAN();
-  const matrix::Partition part(40, 40, 56, 8);
-  const auto plat = platform::Platform::homogeneous(3, 0.01, 0.002, 40);
-  const auto a = random_matrix(40, 40, 31);
-  const auto b = random_matrix(40, 56, 32);
-  // An all-zero initial C: outbound chunk frames are long zero runs,
-  // the codec's best case (the regime where wire compression pays).
-  const matrix::Matrix c_initial(40, 56, 0.0);
+/// Ends the whole test binary if the guarded scope outlives `limit`: a
+/// regression that wedges the master must fail the suite, never hang
+/// ctest. Forked workers die with the binary (PR_SET_PDEATHSIG).
+class Watchdog {
+ public:
+  Watchdog(std::chrono::seconds limit, std::string what)
+      : thread_([this, limit, what = std::move(what)] {
+          std::unique_lock<std::mutex> lock(mutex_);
+          if (!done_cv_.wait_for(lock, limit, [this] { return done_; })) {
+            std::fprintf(stderr, "watchdog: %s still running after %llds\n",
+                         what.c_str(),
+                         static_cast<long long>(limit.count()));
+            std::_Exit(1);
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      done_ = true;
+    }
+    done_cv_.notify_all();
+    thread_.join();
+  }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
 
-  matrix::Matrix c_raw = c_initial;
-  TransportStats raw_stats;
-  {
-    auto scheduler = sched::Registry::instance().make("ODDOML", plat, part);
-    ExecutorOptions options;
-    options.transport = TransportKind::kTcp;
-    const ExecutorReport report =
-        execute_online(*scheduler, plat, part, a, b, c_raw, options);
-    EXPECT_TRUE(report.verified);
-    raw_stats = report.transport_stats;
-    EXPECT_EQ(raw_stats.frames_compressed, 0u);
+ private:
+  std::mutex mutex_;
+  std::condition_variable done_cv_;
+  bool done_ = false;
+  std::thread thread_;  // last: starts once the members it uses exist
+};
+
+/// Hands worker 1 its chunk and two operand batches, then throws from
+/// next(): the master aborts while that worker computes its first step
+/// with the next batch already queued behind it.
+class AbortAfterFeedingWorker1 final : public sim::Scheduler {
+ public:
+  explicit AbortAfterFeedingWorker1(std::unique_ptr<sim::Scheduler> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  sim::Decision next(const sim::ExecutionView& view) override {
+    if (fed_ == 3) throw std::runtime_error("scheduler aborted the run");
+    sim::Decision decision = inner_->next(view);
+    if (decision.kind == sim::Decision::Kind::kComm &&
+        decision.worker == 1 && decision.comm != sim::CommKind::kRecvC)
+      ++fed_;
+    return decision;
   }
 
-  matrix::Matrix c_packed = c_initial;
-  {
-    auto scheduler = sched::Registry::instance().make("ODDOML", plat, part);
-    ExecutorOptions options;
-    options.transport = TransportKind::kTcp;
-    options.wire_compression = true;
-    const ExecutorReport report =
-        execute_online(*scheduler, plat, part, a, b, c_packed, options);
-    EXPECT_TRUE(report.verified);
-    const TransportStats& stats = report.transport_stats;
-    EXPECT_GT(stats.frames_compressed, 0u);
-    EXPECT_GT(stats.bytes_saved_by_compression, 0u);
-    EXPECT_LT(stats.bytes_sent, raw_stats.bytes_sent);
-  }
+ private:
+  std::unique_ptr<sim::Scheduler> inner_;
+  int fed_ = 0;
+};
 
-  EXPECT_EQ(matrix::Matrix::max_abs_diff(c_packed, c_raw), 0.0);
+class MasterAbort : public ::testing::TestWithParam<TransportKind> {};
+
+TEST_P(MasterAbort, WorkerWithQueuedOperandsStopsAtTheGoodbye) {
+  if (GetParam() != TransportKind::kThread) HMXP_SKIP_UNDER_TSAN();
+  // Worker 1 stalls in step 0 while its second batch waits in its
+  // inbox; the master's shutdown queues the goodbye behind it. The
+  // worker's cancel lookahead is what reads that goodbye, and the
+  // worker must still end its stream there -- not take the EOF behind
+  // it for a dropped link, redial the still-open listen socket and
+  // block in a handshake while the master waits to reap it.
+  const Watchdog watchdog(std::chrono::seconds(60),
+                          std::string("master abort over ") +
+                              transport_kind_name(GetParam()));
+  const auto plat = platform::Platform::homogeneous(2, 0.01, 0.002, 40);
+  const matrix::Partition part(64, 64, 64, 8);
+  const auto a = random_matrix(64, 64, 51);
+  const auto b = random_matrix(64, 64, 52);
+  matrix::Matrix c(64, 64, 0.0);
+
+  AbortAfterFeedingWorker1 scheduler(
+      sched::Registry::instance().make("ODDOML", plat, part));
+  ExecutorOptions options;
+  options.transport = GetParam();
+  options.fault_hook = [](int worker, std::size_t step) {
+    if (worker == 1 && step == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  };
+  const auto begin = std::chrono::steady_clock::now();
+  try {
+    execute_online(scheduler, plat, part, a, b, c, options);
+    FAIL() << "expected the scheduler's exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("scheduler aborted the run"),
+              std::string::npos)
+        << error.what();
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - begin)
+                             .count();
+  EXPECT_LT(seconds, 10.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTransports, MasterAbort,
+    ::testing::Values(TransportKind::kThread, TransportKind::kProcess,
+                      TransportKind::kShm, TransportKind::kTcp),
+    [](const ::testing::TestParamInfo<TransportKind>& info) {
+      return std::string(transport_kind_name(info.param));
+    });
 
 }  // namespace
 }  // namespace hmxp::runtime
-
-// ---- the core facade on Backend::kTcp ---------------------------------------
-
-namespace hmxp::core {
-namespace {
-
-TEST(TcpBackend, CoreRunsCellsOnTheTcpBackend) {
-  HMXP_SKIP_UNDER_TSAN();
-  const matrix::Partition part(40, 40, 56, 8);
-  const auto plat = platform::Platform::homogeneous(3, 0.01, 0.002, 40);
-
-  const RunReport simulated = run_algorithm("ORROML", plat, part);
-  OnlineOptions online;
-  online.backend = Backend::kTcp;
-  online.data_seed = 7;
-  const RunReport executed =
-      run_algorithm_online("ORROML", plat, part, online);
-
-  EXPECT_EQ(executed.backend, Backend::kTcp);
-  EXPECT_TRUE(executed.online_verified);
-  EXPECT_GT(executed.online_wall_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(executed.result.makespan, simulated.result.makespan);
-  EXPECT_EQ(executed.result.decisions, simulated.result.decisions);
-}
-
-TEST(TcpBackend, BackendNamesParseBothWays) {
-  EXPECT_STREQ(backend_name(Backend::kTcp), "tcp");
-  EXPECT_EQ(parse_backend("tcp"), Backend::kTcp);
-  EXPECT_EQ(parse_backend("loopback-tcp"), Backend::kTcp);
-  EXPECT_EQ(parse_backend("SOCKET"), Backend::kTcp);
-  EXPECT_EQ(parse_backend("bogus"), std::nullopt);
-}
-
-}  // namespace
-}  // namespace hmxp::core
