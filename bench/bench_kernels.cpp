@@ -251,7 +251,8 @@ BENCHMARK(BM_OnlineRuntime)
     ->Arg(160)
     ->Arg(320)
     ->Arg(640)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_OnlineRuntimeProcess(benchmark::State& state) {
   // The same end-to-end online run over the PROCESS transport: one
@@ -302,7 +303,8 @@ void BM_OnlineRuntimeProcess(benchmark::State& state) {
 BENCHMARK(BM_OnlineRuntimeProcess)
     ->Arg(160)
     ->Arg(320)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_OnlineRuntimeShm(benchmark::State& state) {
   // The same end-to-end online run over the zero-copy SHM transport:
@@ -366,7 +368,8 @@ BENCHMARK(BM_OnlineRuntimeShm)
     ->Arg(160)
     ->Arg(320)
     ->Arg(640)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_OnlineRuntimeTcp(benchmark::State& state) {
   // The same end-to-end online run over the loopback-TCP transport:
@@ -414,7 +417,8 @@ void BM_OnlineRuntimeTcp(benchmark::State& state) {
 BENCHMARK(BM_OnlineRuntimeTcp)
     ->Arg(160)
     ->Arg(320)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_OnlineRuntimeFaulty(benchmark::State& state) {
   // The unreliable-platform path: one of four workers is killed partway
@@ -459,7 +463,8 @@ void BM_OnlineRuntimeFaulty(benchmark::State& state) {
 BENCHMARK(BM_OnlineRuntimeFaulty)
     ->Arg(160)
     ->Arg(320)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_OnlineRuntimeStraggler(benchmark::State& state) {
   // The slow-but-alive path: one of four workers ramps to 8x its
@@ -505,7 +510,8 @@ void BM_OnlineRuntimeStraggler(benchmark::State& state) {
 BENCHMARK(BM_OnlineRuntimeStraggler)
     ->Arg(160)
     ->Arg(320)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_ServiceThroughput(benchmark::State& state) {
   // The persistent multi-job service under concurrent load: ONE daemon

@@ -31,8 +31,10 @@
 // shared-memory arena (process isolation without the serialization
 // tax), or forked workers dialing the master over loopback TCP (the
 // versioned-handshake, reconnect-capable cluster rehearsal). The
-// scheduler, the perturbation, and the verified result are identical
-// on all four.
+// scheduler, the perturbation, and the verified C are identical on all
+// four. The per-worker update counts are not: the master feeds
+// whichever worker can take work now, so the counts follow how fast
+// each worker really runs on that backend, from run to run.
 //
 // --kernel pins the GEMM dispatch (naive|tiled|simd|portable|avx2|
 // avx512); --tune sets the packed tier's blocking resolution

@@ -78,6 +78,16 @@ class Channel {
 
   std::size_t capacity() const { return capacity_; }
 
+  /// True while a push() would block (the queue is at capacity).
+  bool full() const {
+    std::lock_guard lock(mutex_);
+    return queue_.size() >= capacity_;
+  }
+  bool empty() const {
+    std::lock_guard lock(mutex_);
+    return queue_.empty();
+  }
+
  private:
   std::size_t capacity_;
   mutable std::mutex mutex_;

@@ -126,17 +126,41 @@ class ForkVisibilityGuard {
   const matrix::Matrix& c_;
 };
 
+/// A model-time span no schedule of the instance outlasts: every
+/// communication and every update serialized on the slowest link and
+/// CPU. Added to the start of an action a worker cannot take yet, it
+/// ranks every action some worker CAN take first, for any policy that
+/// ranks by start or finish time, while staying finite -- a policy left
+/// with only blocked choices still returns one.
+model::Time blocked_offset(const platform::Platform& platform,
+                           const matrix::Partition& part) {
+  model::Time c = 0.0, w = 0.0;
+  for (int i = 0; i < platform.size(); ++i) {
+    c = std::max(c, platform.worker(i).c);
+    w = std::max(w, platform.worker(i).w);
+  }
+  const auto blocks = static_cast<double>(part.r() * part.s());
+  const double updates = blocks * static_cast<double>(part.t());
+  return 1.0 + 2.0 * blocks * c + updates * (2.0 * c + w);
+}
+
 /// The event-driven master: implements ExecutionView over real workers
 /// behind the data-plane Transport (threads or forked processes -- the
 /// master never knows which). Scheduler-visible bookkeeping (port
 /// clock, WorkerProgress, coverage) lives in a model mirror -- a
 /// sim::Engine over the same instance that executes every decision the
-/// master really performs -- while readiness is overridden with ACTUAL
-/// completions: a worker whose result message has arrived is
-/// collectable *now*, whatever the cost model predicted. Blocking
-/// semantics come from the transport: a decision whose real
-/// precondition is unmet blocks the master, exactly like a decision
-/// blocks the simulated port.
+/// master really performs -- while readiness is overridden with the
+/// workers' REAL state: an action a worker can take right now (a send
+/// into a free inbox slot, the RecvC of a result that has arrived)
+/// keeps the mirror's timing, and one it cannot take yet ranks behind
+/// every action that can (see earliest_start). Policies that rank by
+/// time therefore serve whichever worker can act now, as the paper's
+/// demand-driven master feeds whichever worker has a free buffer. When
+/// no worker of the job can act at all, the master parks on all of
+/// them at once (Transport::wait_any) until the first result, freed
+/// slot or death. A policy that still picks a blocked action (one that
+/// ranks by structure, or a replayed log) blocks in the transport,
+/// like a decision blocks the simulated port.
 class OnlineExecutor final : public sim::ExecutionView {
  public:
   OnlineExecutor(const platform::Platform& platform,
@@ -150,6 +174,7 @@ class OnlineExecutor final : public sim::ExecutionView {
         c_(c),
         options_(options),
         worker_count_(static_cast<std::size_t>(platform.size())),
+        blocked_offset_(blocked_offset(platform, partition)),
         views_(worker_count_),
         pending_(worker_count_),
         updates_per_worker_(worker_count_, 0),
@@ -178,6 +203,7 @@ class OnlineExecutor final : public sim::ExecutionView {
         c_(c),
         options_(fleet.options()),
         worker_count_(static_cast<std::size_t>(fleet.size())),
+        blocked_offset_(blocked_offset(fleet.platform(), partition)),
         views_(worker_count_),
         pending_(worker_count_),
         updates_per_worker_(worker_count_, 0),
@@ -222,16 +248,26 @@ class OnlineExecutor final : public sim::ExecutionView {
   const sim::WorkerProgress& progress(int worker) const override {
     return mirror_.progress(worker);
   }
+  /// The mirror's start, re-ranked by what the worker can REALLY do
+  /// now, so policies that rank by time react to real worker speeds
+  /// (including mid-run perturbations the model knows nothing about):
+  ///  * a RecvC whose result has arrived is collectable immediately;
+  ///  * a send (chunk, operands, cancel) into a free inbox slot keeps
+  ///    the mirror's start; into a full inbox it costs one
+  ///    blocked_offset_ -- the slot frees after the worker's next step;
+  ///  * a RecvC whose result has not arrived costs two -- it frees only
+  ///    after every step the worker still has queued.
+  /// kNever stays kNever, which also keeps the endpoints of workers
+  /// this job does not lease (dead on its mirror) untouched.
   model::Time earliest_start(int worker, sim::CommKind kind) const override {
-    // The online edge over the pure model: a result that has ACTUALLY
-    // arrived is collectable immediately, so policies ranking actions by
-    // start time react to real worker speeds (including mid-run
-    // perturbations the model knows nothing about).
-    if (kind == sim::CommKind::kRecvC &&
-        pending_[static_cast<std::size_t>(worker)].has_value() &&
-        mirror_.progress(worker).all_steps_received())
-      return mirror_.now();
-    return mirror_.earliest_start(worker, kind);
+    const model::Time start = mirror_.earliest_start(worker, kind);
+    if (std::isinf(start)) return start;
+    if (kind == sim::CommKind::kRecvC)
+      return pending_[static_cast<std::size_t>(worker)].has_value()
+                 ? mirror_.now()
+                 : start + 2.0 * blocked_offset_;
+    return transport_->endpoint(worker).can_send() ? start
+                                                   : start + blocked_offset_;
   }
   model::Time comm_duration(int worker, sim::CommKind kind) const override {
     return mirror_.comm_duration(worker, kind);
@@ -282,6 +318,7 @@ class OnlineExecutor final : public sim::ExecutionView {
       // A real death, not a lease release: the fleet permanently loses
       // the worker and the lease manager must stop offering it.
       leased_[w] = 0;
+      publish_drift(w);
       fleet_->mark_dead(worker);
       if (hooks_->worker_dead) hooks_->worker_dead(worker);
     }
@@ -293,11 +330,14 @@ class OnlineExecutor final : public sim::ExecutionView {
   /// freely with the platform's w_i -- and a worker that slowed down
   /// 2x mid-run costs 2x in every lookahead that consults it.
   model::Time calibrated_w(int worker) const override {
-    return mirror_.platform().worker(worker).w *
-           (*wall_speed_)[static_cast<std::size_t>(worker)].drift();
+    return mirror_.platform().worker(worker).w * observed_drift(worker);
   }
+  /// A fleet worker this job does not hold reads as its published
+  /// drift: the job holding it may be updating its estimate right now.
   double observed_drift(int worker) const override {
-    return (*wall_speed_)[static_cast<std::size_t>(worker)].drift();
+    const auto w = static_cast<std::size_t>(worker);
+    if (fleet_ != nullptr && !leased_[w]) return fleet_->drift(worker);
+    return (*wall_speed_)[w].drift();
   }
 
   // ----- the master loop -----
@@ -332,7 +372,7 @@ class OnlineExecutor final : public sim::ExecutionView {
     std::size_t executed = 0;
     try {
       while (true) {
-        drain_completions();
+        await_ready();
         sim::Decision decision = scheduler.next(*this);
         if (decision.kind == sim::Decision::Kind::kDone) break;
         // Whether this RecvC commits a speculative duplicate must be
@@ -399,7 +439,6 @@ class OnlineExecutor final : public sim::ExecutionView {
           } catch (...) {  // best-effort teardown; original error wins
           }
         }
-        publish_calibration();
         throw;
       }
       shutdown();
@@ -411,7 +450,6 @@ class OnlineExecutor final : public sim::ExecutionView {
       rethrow_worker_error();
     } else {
       release_remaining_leases();
-      publish_calibration();
     }
 
     ExecutorReport report;
@@ -421,8 +459,11 @@ class OnlineExecutor final : public sim::ExecutionView {
       report.updates_performed += updates;
     report.workers_failed = workers_failed_;
     report.workers_rejoined = workers_rejoined_;
-    for (const platform::SpeedEstimate& speed : *wall_speed_)
-      report.observed_drift.push_back(speed.drift());
+    // Every lease has ended, so in fleet mode this reads the drift each
+    // worker's last job published, never an estimate another job may
+    // be updating.
+    for (std::size_t w = 0; w < worker_count_; ++w)
+      report.observed_drift.push_back(observed_drift(static_cast<int>(w)));
     report.result =
         sim::collect_result(scheduler.name(), mirror_, executed);
     report.buffer_pool = pool_->stats();
@@ -479,6 +520,32 @@ class OnlineExecutor final : public sim::ExecutionView {
   bool stale_result(std::size_t w, const ResultMessage& result) const {
     const MasterView& view = views_[w];
     return !view.plan.has_value() || result.seq != view.seq;
+  }
+
+  /// Runs before every decision: sweeps the workers, and while none of
+  /// this job's workers can take its next action -- collect an arrived
+  /// result once every step is out, otherwise send into a free inbox
+  /// slot (an idle worker's next action is a SendC) -- parks on all of
+  /// them at once until the first result, freed slot or death, then
+  /// sweeps again. Each wait is bounded; the loop lasts as long as the
+  /// workers make no progress, exactly as a blocking send or receive
+  /// would.
+  void await_ready() {
+    for (;;) {
+      drain_completions();
+      awaits_.clear();
+      for (std::size_t w = 0; w < worker_count_; ++w) {
+        if (failure_handled_[w]) continue;  // dead, or not this job's
+        const int worker = static_cast<int>(w);
+        const bool result = mirror_.progress(worker).all_steps_received();
+        if (result ? pending_[w].has_value()
+                   : transport_->endpoint(worker).can_send())
+          return;
+        awaits_.push_back(Await{worker, result});
+      }
+      if (awaits_.empty()) return;  // nothing to wait on: decide
+      transport_->wait_any(awaits_, kWaitSlice);
+    }
   }
 
   /// Non-blocking sweep of every worker: results that actually arrived
@@ -566,6 +633,7 @@ class OnlineExecutor final : public sim::ExecutionView {
     failure_handled_[w] = 1;  // back to "not ours": skip its endpoint
     views_[w].plan.reset();
     mirror_.fail_worker(static_cast<int>(w));
+    publish_drift(w);  // before the next job may touch the estimate
     if (hooks_->release) hooks_->release(static_cast<int>(w));
   }
 
@@ -619,13 +687,11 @@ class OnlineExecutor final : public sim::ExecutionView {
       if (leased_[w]) release_lease(w);
   }
 
-  /// Publishes each used worker's drift snapshot for lock-free readers
-  /// (the admission controller) -- the SpeedEstimate vector itself is
-  /// only safe under the lease protocol.
-  void publish_calibration() {
-    for (std::size_t w = 0; w < worker_count_; ++w)
-      if (ever_leased_[w])
-        fleet_->publish_drift(static_cast<int>(w), (*wall_speed_)[w].drift());
+  /// Publishes a worker's drift for lock-free readers (the admission
+  /// controller, other jobs' reports) as this job's lease on it ends:
+  /// the SpeedEstimate itself is only safe to read under the lease.
+  void publish_drift(std::size_t w) {
+    fleet_->publish_drift(static_cast<int>(w), (*wall_speed_)[w].drift());
   }
 
   /// Folds a returned chunk into the master's bookkeeping: its measured
@@ -786,6 +852,11 @@ class OnlineExecutor final : public sim::ExecutionView {
     }
   }
 
+  /// Bound on one wait_any: a lease grant or a rejoining TCP worker
+  /// arrives without ringing any of the job's workers, and is noticed
+  /// at the latest one slice later.
+  static constexpr std::chrono::milliseconds kWaitSlice{50};
+
   sim::Engine mirror_;
   const matrix::Matrix& a_;
   const matrix::Matrix& b_;
@@ -796,6 +867,7 @@ class OnlineExecutor final : public sim::ExecutionView {
   BufferPool own_pool_;  // shared with workers; outlives them (first)
   ExecutorOptions options_;
   std::size_t worker_count_;
+  model::Time blocked_offset_;
   std::unique_ptr<Transport> owned_transport_;
   Transport* transport_ = nullptr;
   BufferPool* pool_ = nullptr;
@@ -805,6 +877,7 @@ class OnlineExecutor final : public sim::ExecutionView {
   std::vector<platform::SpeedEstimate> own_speed_;
   std::vector<platform::SpeedEstimate>* wall_speed_ = nullptr;
   std::vector<char> failure_handled_;  // fail_worker() already ran
+  std::vector<Await> awaits_;          // await_ready's reused wait set
   sim::EngineState rollback_state_;    // reused pre-decision snapshot
   SpeculationStats spec_stats_;
   // Fleet mode only (nullptr / empty otherwise).

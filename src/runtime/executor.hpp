@@ -3,9 +3,10 @@
 // ExecutorOptions::transport) plus the calling thread as the master,
 // which runs an event-driven loop: it consults the scheduler live
 // (through sim::ExecutionView), moves real block panels through the
-// data-plane Transport (runtime/transport.hpp), and reacts to actual
-// completion messages -- workers that really finish early get collected
-// early, regardless of what the cost model predicted.
+// data-plane Transport (runtime/transport.hpp), and reacts to the
+// workers' real state -- workers that really finish early get collected
+// early, and a worker with a free inbox slot is fed before one whose
+// buffers are full, regardless of what the cost model predicted.
 //
 // This is the in-machine stand-in for the paper's MPI deployment:
 //  * any Scheduler drives it directly (execute_online); demand-driven
@@ -223,7 +224,8 @@ struct FleetJobOptions {
 /// Online execution: drives `scheduler` live against real worker
 /// threads computing C += A * B with A (n_a x n_ab), B (n_ab x n_b),
 /// C (n_a x n_b) under `partition`. The scheduler sees an ExecutionView
-/// whose RecvC readiness reflects actual worker completions. Throws
+/// whose readiness reflects the workers' real state: arrived results
+/// and free inbox slots (see runtime/executor.cpp). Throws
 /// std::logic_error on protocol violations, std::runtime_error if
 /// verification fails or a worker thread failed. `decision_log`, if
 /// non-null, receives every executed decision (for parity checks and

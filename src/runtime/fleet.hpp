@@ -67,8 +67,9 @@ class Fleet {
   std::vector<platform::SpeedEstimate>& speeds() { return speeds_; }
 
   /// Lock-free drift snapshot for readers OUTSIDE the lease protocol
-  /// (the admission controller pricing a job while other jobs run).
-  /// Published by the leasing job at job end (publish_drift); 1.0
+  /// (the admission controller pricing a job while other jobs run, a
+  /// job reporting on workers it no longer holds). Published by the
+  /// leasing job as its lease on the worker ends (publish_drift); 1.0
   /// until a worker has been observed.
   double drift(int worker) const;
   void publish_drift(int worker, double drift);

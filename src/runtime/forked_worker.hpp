@@ -191,6 +191,10 @@ class ForkedEndpoint : public Endpoint {
   /// Hands queued results back to `pool` and drops partial input.
   void drain(BufferPool& pool) override;
 
+  /// The socket the worker reports on, for a poll(2) over many
+  /// workers; -1 once it is closed or at EOF.
+  int event_fd() const { return eof_ ? -1 : fd_; }
+
   /// Blocks until the worker's hello arrived through `acceptor` and was
   /// adopted, or the worker is known dead: it exited on the launch pad,
   /// booted a divergent kernel configuration, or stayed silent for 30 s

@@ -125,15 +125,19 @@ double seconds_since(Clock::time_point begin) {
 /// sequence word with a (process-shared) futex, and the worker issues
 /// a wake syscall ONLY when the lane's `waiting` flag says someone is
 /// parked -- so the syscall count scales with master stalls, not with
-/// messages. Must be created BEFORE the first fork, like the arena.
+/// messages. A last line holds the board's event bell: a count every
+/// worker bumps on each dequeue, result and death notice, which a
+/// master with nothing to do parks on to wait for all its workers at
+/// once. Must be created BEFORE the first fork, like the arena.
 class SharedAckBoard {
  public:
   explicit SharedAckBoard(std::size_t lanes) : lanes_(lanes) {
-    bytes_ = std::max<std::size_t>(lanes, 1) * kLaneStride;
+    bytes_ = (lanes + 1) * kLaneStride;
     map_ = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
     HMXP_CHECK(map_ != MAP_FAILED, "ack board mmap failed");
     for (std::size_t i = 0; i < lanes_; ++i) new (lane(i)) Lane{};
+    new (bell()) Bell{};
   }
   ~SharedAckBoard() {
     if (map_ != nullptr && map_ != MAP_FAILED) ::munmap(map_, bytes_);
@@ -157,6 +161,34 @@ class SharedAckBoard {
         static_cast<std::int32_t>(
             now - entry->wake_at.load(std::memory_order_relaxed)) >= 0)
       futex_wake_u32(&entry->seq);
+    ring();
+  }
+
+  /// Worker side: one event for a master waiting on all its workers (a
+  /// dequeue, a committed result, a death notice). The count always
+  /// moves; the wake syscall fires only while a master is parked.
+  /// Lose-free by the same seq_cst pairing as park(): the count moves
+  /// before `waiters` is read, and wait_bell registers before it reads
+  /// the count, so one side always sees the other.
+  void ring() {
+    Bell* entry = bell();
+    entry->count.fetch_add(1, std::memory_order_seq_cst);
+    if (entry->waiters.load(std::memory_order_seq_cst) != 0)
+      futex_wake_u32(&entry->count);
+  }
+  std::uint32_t bell_count() const {
+    return bell()->count.load(std::memory_order_seq_cst);
+  }
+  /// Master side: sleeps until the bell moved past `seen` (read before
+  /// the master checked its workers for news) or `timeout_ms` elapsed
+  /// (a SIGKILL'd worker never rings, so the bound is what surfaces its
+  /// death).
+  void wait_bell(std::uint32_t seen, int timeout_ms) {
+    Bell* entry = bell();
+    entry->waiters.fetch_add(1, std::memory_order_seq_cst);
+    if (entry->count.load(std::memory_order_seq_cst) == seen)
+      futex_wait_u32(&entry->count, seen, timeout_ms);
+    entry->waiters.fetch_sub(1, std::memory_order_seq_cst);
   }
 
   /// Master side: how many messages worker `i` has dequeued (mod 2^32;
@@ -176,6 +208,9 @@ class SharedAckBoard {
   /// at worst one extra (empty) pump on the next sweep.
   bool take_rx_hint(std::size_t i) {
     return lane(i)->rx_hint.exchange(0, std::memory_order_acquire) != 0;
+  }
+  bool rx_hint(std::size_t i) const {
+    return lane(i)->rx_hint.load(std::memory_order_acquire) != 0;
   }
 
   /// Master side: sleeps until the lane's sequence reaches `target`
@@ -203,6 +238,10 @@ class SharedAckBoard {
     std::atomic<std::uint32_t> wake_at{0};
     std::atomic<std::uint32_t> rx_hint{0};
   };
+  struct Bell {
+    std::atomic<std::uint32_t> count{0};
+    std::atomic<std::uint32_t> waiters{0};
+  };
   static_assert(sizeof(std::atomic<std::uint32_t>) == 4,
                 "futex needs a plain 32-bit word");
   static constexpr std::size_t kLaneStride = 64;  // one cache line each
@@ -210,6 +249,10 @@ class SharedAckBoard {
   Lane* lane(std::size_t i) const {
     return reinterpret_cast<Lane*>(static_cast<std::uint8_t*>(map_) +
                                    i * kLaneStride);
+  }
+  Bell* bell() const {
+    return reinterpret_cast<Bell*>(static_cast<std::uint8_t*>(map_) +
+                                   lanes_ * kLaneStride);
   }
 
   void* map_ = nullptr;
@@ -414,6 +457,7 @@ class ShmWorkerPort final : public WorkerPort {
     // Detach AFTER the push so an unwind mid-send still releases the
     // slot (the master's crash reclamation tolerates the benign race).
     result.c.detach();
+    acks_->ring();
   }
 
  private:
@@ -472,6 +516,7 @@ class ShmWorkerPort final : public WorkerPort {
       [&](const std::string& what) {
         send_error_notice(fd, what);
         acks->raise_rx_hint(index);
+        acks->ring();
       });
 }
 
@@ -574,6 +619,27 @@ class ShmEndpoint final : public ForkedEndpoint {
     ++stats_->messages_sent;
     stats_->bytes_sent += tx_.size();
     stats_->bytes_zero_copied += payload_bytes;
+  }
+
+  bool can_send() const override {
+    return static_cast<std::uint32_t>(sent_) -
+               acks_->read(static_cast<std::size_t>(index_)) <
+           capacity_;
+  }
+
+  /// Whether `await` holds: a result frame committed to the outbox
+  /// ring (or already decoded), or a free inbox slot -- or the worker
+  /// died, or raised its rx hint for a death notice on the socket.
+  bool holds(const Await& await) const {
+    const SharedRing& outbox = rings_->outbox;
+    const bool news =
+        await.result
+            ? !results_.empty() ||
+                  outbox.head.load(std::memory_order_acquire) !=
+                      outbox.tail.load(std::memory_order_relaxed)
+            : can_send();
+    return news || failed() ||
+           acks_->rx_hint(static_cast<std::size_t>(index_));
   }
 
   std::optional<ResultMessage> try_recv() override {
@@ -791,6 +857,23 @@ class ShmTransport final : public Transport {
                      static_cast<std::size_t>(worker) < endpoints_.size(),
                  "worker index out of range");
     return *endpoints_[static_cast<std::size_t>(worker)];
+  }
+
+  /// Parks on the ack board's bell, which every worker rings, so any
+  /// worker's event -- another job's too -- ends the wait. The bell is
+  /// read before the checks: a worker moves its ring or ack count
+  /// before it rings, so an event the checks missed has moved the bell
+  /// past `seen`. At most 10 ms at a time, like every other shm park: a
+  /// SIGKILL'd child never rings, and the master's next sweep pumps its
+  /// socket for the EOF.
+  void wait_any(const std::vector<Await>& awaits,
+                std::chrono::milliseconds timeout) override {
+    const std::uint32_t seen = acks_.bell_count();
+    for (const Await& await : awaits)
+      if (endpoints_[static_cast<std::size_t>(await.worker)]->holds(await))
+        return;
+    acks_.wait_bell(seen, static_cast<int>(std::min<std::int64_t>(
+                              timeout.count(), /*ms=*/10)));
   }
 
   void shutdown() noexcept override {

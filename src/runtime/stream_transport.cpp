@@ -252,6 +252,8 @@ class StreamEndpoint final : public ForkedEndpoint {
     stats_->bytes_sent += tx_.size();
   }
 
+  bool can_send() const override { return credits_ > 0; }
+
   std::optional<ResultMessage> try_recv() override {
     if (results_.empty() && !failed()) pump();
     return pop_result();
@@ -417,6 +419,23 @@ class StreamTransport final : public Transport {
                      static_cast<std::size_t>(worker) < endpoints_.size(),
                  "worker index out of range");
     return *endpoints_[static_cast<std::size_t>(worker)];
+  }
+
+  /// One poll(2) over the workers' sockets: a credit, a result, an
+  /// error notice or an EOF all arrive as readable bytes, and the pump
+  /// in the master's last try_recv left none unread. Whichever arrives
+  /// ends the wait; the caller's next try_recv pumps it.
+  void wait_any(const std::vector<Await>& awaits,
+                std::chrono::milliseconds timeout) override {
+    std::vector<pollfd> fds;
+    fds.reserve(awaits.size());
+    for (const Await& await : awaits) {
+      const int fd =
+          endpoints_[static_cast<std::size_t>(await.worker)]->event_fd();
+      if (fd >= 0) fds.push_back(pollfd{fd, POLLIN, 0});
+    }
+    if (fds.empty()) return;
+    ::poll(fds.data(), fds.size(), static_cast<int>(timeout.count()));
   }
 
   void shutdown() noexcept override {

@@ -3,9 +3,14 @@
 // One std::thread per worker runs worker_main over a pair of bounded
 // channels; messages move by value (zero-copy payload vectors recycled
 // through the master's shared BufferPool), and the channel bound IS the
-// worker's buffer capacity: a master pushing past it blocks.
+// worker's buffer capacity: a master pushing past it blocks. A master
+// with nothing to do parks on all its workers at once (wait_any), and a
+// worker wakes it for a dequeue, a result or its death only when the
+// master is parked waiting for exactly that.
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -19,6 +24,20 @@
 namespace hmxp::runtime {
 
 namespace {
+
+/// What a worker's event can give a parked master (ThreadWorker::park).
+constexpr unsigned kSlotFreed = 1;  // a dequeue: one more inbox slot
+constexpr unsigned kResultIn = 2;   // a result in the outbox
+
+/// A master parked on several workers at once (wait_any). Each worker
+/// it waits on points here and rings it -- only for the events the
+/// master waits for -- so concurrent fleet jobs never wake each other
+/// or share a lock.
+struct Parking {
+  std::mutex mutex;
+  std::condition_variable wake;
+  bool rung = false;  // guarded by mutex
+};
 
 /// Per-worker thread: runs worker_main over its channels. On any
 /// internal error it records the exception, raises its `failed` flag,
@@ -53,6 +72,17 @@ class ThreadWorker final : public WorkerPort {
   void join() {
     if (thread_.joinable()) thread_.join();
   }
+  /// Points the worker at a parked master, to be rung for `events`
+  /// (kSlotFreed, kResultIn); nullptr and 0 unpark it. Lose-free: the
+  /// master parks before it checks the channels, the worker looks for
+  /// it after changing them, and the channel mutex orders the two --
+  /// so either the master's check sees the change, or the worker sees
+  /// the master and rings.
+  void park(Parking* parking, unsigned events) {
+    std::lock_guard lock(park_mutex_);
+    parking_ = parking;
+    wanted_.store(events, std::memory_order_seq_cst);
+  }
   /// True once the worker thread died on an exception. The release
   /// store happens after error_ is recorded, so a master that observes
   /// failed() may read error() without a race (even before join).
@@ -62,15 +92,34 @@ class ThreadWorker final : public WorkerPort {
   const std::exception_ptr& error() const { return error_; }
 
   // ----- WorkerPort (the worker-side face of the channels) -----
-  std::optional<WorkerMessage> receive() override { return inbox_.pop(); }
+  std::optional<WorkerMessage> receive() override {
+    return ring_on_dequeue(inbox_.pop());
+  }
   std::optional<WorkerMessage> try_receive() override {
     // On a closed-and-drained inbox this reads nullopt, same as pop():
     // the follow-up blocking receive() re-observes the closure.
-    return inbox_.try_pop();
+    return ring_on_dequeue(inbox_.try_pop());
   }
-  void send(ResultMessage result) override { outbox_.push(std::move(result)); }
+  void send(ResultMessage result) override {
+    outbox_.push(std::move(result));
+    ring(kResultIn);
+  }
 
  private:
+  void ring(unsigned events) {
+    if ((wanted_.load(std::memory_order_seq_cst) & events) == 0) return;
+    std::lock_guard lock(park_mutex_);
+    if (parking_ == nullptr) return;
+    std::lock_guard parked(parking_->mutex);
+    parking_->rung = true;
+    parking_->wake.notify_one();
+  }
+  std::optional<WorkerMessage> ring_on_dequeue(
+      std::optional<WorkerMessage> message) {
+    if (message.has_value()) ring(kSlotFreed);
+    return message;
+  }
+
   void run() {
     try {
       worker_main(context_, *this, *pool_);
@@ -79,6 +128,7 @@ class ThreadWorker final : public WorkerPort {
       failed_.store(true, std::memory_order_release);
       inbox_.close();
       outbox_.close();
+      ring(kSlotFreed | kResultIn);  // a death is news to any master
     }
   }
 
@@ -87,6 +137,9 @@ class ThreadWorker final : public WorkerPort {
   Channel<WorkerMessage> inbox_;
   Channel<ResultMessage> outbox_;
   std::exception_ptr error_;
+  std::mutex park_mutex_;
+  Parking* parking_ = nullptr;  // guarded by park_mutex_
+  std::atomic<unsigned> wanted_{0};
   std::atomic<bool> failed_{false};
   std::atomic<bool> killed_{false};
   std::thread thread_;
@@ -101,6 +154,7 @@ class ThreadEndpoint final : public Endpoint {
     worker_->inbox().push(std::move(message));
     ++stats_->messages_sent;
   }
+  bool can_send() const override { return !worker_->inbox().full(); }
   std::optional<ResultMessage> try_recv() override {
     auto result = worker_->outbox().try_pop();
     if (result.has_value()) ++stats_->messages_received;
@@ -110,6 +164,14 @@ class ThreadEndpoint final : public Endpoint {
     auto result = worker_->outbox().pop();
     if (result.has_value()) ++stats_->messages_received;
     return result;
+  }
+  /// Whether `await` holds. The channel is read before the failure
+  /// flag: a dying worker raises the flag before it closes its
+  /// channels, so a check that missed the close still sees the death.
+  bool holds(const Await& await) const {
+    const bool news = await.result ? !worker_->outbox().empty()
+                                   : !worker_->inbox().full();
+    return news || worker_->failed();
   }
   bool failed() const override { return worker_->failed(); }
   std::exception_ptr error() const override { return worker_->error(); }
@@ -172,6 +234,27 @@ class ThreadTransport final : public Transport {
     return *endpoints_[static_cast<std::size_t>(worker)];
   }
 
+  void wait_any(const std::vector<Await>& awaits,
+                std::chrono::milliseconds timeout) override {
+    Parking parking;
+    for (const Await& await : awaits)
+      worker(await.worker)
+          .park(&parking, await.result ? kResultIn : kSlotFreed);
+    {
+      std::unique_lock lock(parking.mutex);
+      parking.wake.wait_for(lock, timeout, [&] {
+        if (parking.rung) return true;
+        for (const Await& await : awaits)
+          if (endpoints_[static_cast<std::size_t>(await.worker)]->holds(
+                  await))
+            return true;
+        return false;
+      });
+    }
+    for (const Await& await : awaits)
+      worker(await.worker).park(nullptr, 0);
+  }
+
   /// Stops and joins every worker. Closing the inboxes lets workers
   /// drain out; popping one pending result per outbox unblocks a worker
   /// stuck handing a result back. Idempotent, safe on error paths.
@@ -190,6 +273,10 @@ class ThreadTransport final : public Transport {
   }
 
  private:
+  ThreadWorker& worker(int index) {
+    return *workers_[static_cast<std::size_t>(index)];
+  }
+
   // Declared before the endpoints that point into it; never resized
   // after construction, so the slot addresses stay stable.
   std::vector<TransportStats> endpoint_stats_;

@@ -42,6 +42,13 @@
 // sent counter against the worker's ack-board dequeue counter. A
 // real-cluster (MPI/ssh) transport is a drop-in implementation of the
 // same interface.
+//
+// The master never has to find that out by blocking: Endpoint::can_send
+// says whether the inbox has a free slot right now, and when none of a
+// job's workers can act, Transport::wait_any parks the master on all of
+// them at once until the first result, freed slot or death -- a
+// condition variable on the thread transport, poll(2) over the sockets
+// on the stream transport, a futex word on the shm ack board.
 #pragma once
 
 #include <chrono>
@@ -50,6 +57,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "runtime/buffer_pool.hpp"
 #include "runtime/messages.hpp"
@@ -106,6 +114,14 @@ class Endpoint {
   /// master catches this, rolls its mirror back and recovers.
   virtual void send(WorkerMessage message) = 0;
 
+  /// True while the worker's bounded inbox has a free slot, i.e. send()
+  /// would not wait for the worker to dequeue: the channel is below
+  /// capacity (thread), a buffer credit is in hand (stream), or fewer
+  /// than `inbox_capacity` sent frames are unacknowledged (shm). The
+  /// stream endpoint learns of returned credits when try_recv() pumps
+  /// its socket, so its answer is as fresh as the master's last sweep.
+  virtual bool can_send() const = 0;
+
   /// Non-blocking receive of a finished chunk; nullopt when none is
   /// ready. Also the transport's failure-detection pump: a dead worker
   /// is discovered here at the latest (failed() flips).
@@ -155,6 +171,14 @@ class Endpoint {
   virtual bool try_readmit() { return false; }
 };
 
+/// One worker a waiting master needs to hear from, and what it needs:
+/// the result of the worker's chunk, or else a free inbox slot for its
+/// next send.
+struct Await {
+  int worker = 0;
+  bool result = false;
+};
+
 /// Owns the worker set of one run: endpoints while running, join/reap
 /// on shutdown.
 class Transport {
@@ -165,6 +189,19 @@ class Transport {
   const char* name() const { return transport_kind_name(kind()); }
   virtual int worker_count() const = 0;
   virtual Endpoint& endpoint(int worker) = 0;
+
+  /// The master's wait on many workers at once: blocks until one of
+  /// `awaits` holds -- that worker has a result for try_recv(), or a
+  /// free inbox slot -- or one of them died, or `timeout` passed.
+  /// Returns at once when one already holds; an early return is
+  /// allowed, the caller looks at its workers again either way. The
+  /// thread transport's workers notify the condition variable of the
+  /// master parked on them, and only for what it waits for; the stream
+  /// transport's master sleeps in poll(2) over the sockets; the shm
+  /// transport's on a futex word of the ack board that every worker
+  /// bumps, waking a parked master.
+  virtual void wait_any(const std::vector<Await>& awaits,
+                        std::chrono::milliseconds timeout) = 0;
 
   /// Stops every worker and reclaims it (join threads / reap child
   /// processes). Idempotent, noexcept: safe on error paths, called by

@@ -395,14 +395,16 @@ void Daemon::shutdown() {
   }
   for (std::thread& runner : runners_) runner.join();
   runners_.clear();
-  // 3. Tear the TCP front-end down: closing the listen socket pops the
+  // 3. Tear the TCP front-end down: shutting the listen socket pops the
   //    acceptor, shutting session sockets pops their read_frame loops.
+  //    The acceptor reads listen_fd_, so it is closed and cleared only
+  //    once the acceptor has been joined.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
   {
     std::lock_guard<std::mutex> lock(sessions_mutex_);
     for (const int fd : session_fds_) ::shutdown(fd, SHUT_RDWR);

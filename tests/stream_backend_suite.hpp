@@ -6,9 +6,10 @@
 // instantiate StreamBackend for their own fd source.
 //
 // Per fd source: live and replay parity with the thread transport for
-// every registered scheduler, the serialization counters, a SIGKILL'd
-// worker recovered bit-for-bit, strict mode surfacing the child's root
-// cause, kernel-configuration propagation into forked workers, the core
+// every registered scheduler, the serialization counters, buffer
+// credits as Endpoint::can_send reports them, a SIGKILL'd worker
+// recovered bit-for-bit, strict mode surfacing the child's root cause,
+// kernel-configuration propagation into forked workers, the core
 // facade, and backend-name parsing.
 //
 // Everything that forks SKIPS under ThreadSanitizer (fork from a
@@ -26,6 +27,7 @@
 
 #include "core/experiment.hpp"
 #include "core/run.hpp"
+#include "inbox_probe.hpp"
 #include "matrix/kernel_dispatch.hpp"
 #include "matrix/matrix.hpp"
 #include "runtime/executor.hpp"
@@ -222,6 +224,11 @@ TEST_P(StreamBackend, SerializationCountersReportTheDataPlaneCost) {
   EXPECT_GT(streamed.report.transport_stats.bytes_sent, 0u);
   EXPECT_GT(streamed.report.transport_stats.bytes_received, 0u);
   EXPECT_GT(streamed.report.transport_stats.serde_seconds, 0.0);
+}
+
+TEST_P(StreamBackend, CanSendFollowsTheWorkersCredits) {
+  HMXP_SKIP_UNDER_TSAN();
+  expect_can_send_tracks_the_inbox(GetParam().transport);
 }
 
 TEST_P(StreamBackend, SigkilledWorkerProcessRecoversBitForBit) {

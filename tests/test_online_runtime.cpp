@@ -3,11 +3,15 @@
 // decision parity, worker-exception propagation, the verification
 // failure path, the dynamic-perturbation hook on the simulator side,
 // EWMA speed calibration on both backends, bandwidth (c_i) perturbation
-// parity through the throttled channel, and the mid-idle worker-death
-// regression.
+// parity through the throttled channel, the mid-idle worker-death
+// regression, and a straggler that must not stall the other workers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -114,6 +118,55 @@ TEST(OnlineRuntime, SteadyStateMasterLoopDoesNotAllocatePerStep) {
   // ratio dips while the allocation bound still holds, which is the
   // invariant that actually matters.)
   EXPECT_GE(s2.reuses + 48u, s2.acquires);
+}
+
+// ---- readiness: serve the workers that can act --------------------------
+
+TEST(OnlineRuntime, GatedStragglerDoesNotStallTheOtherWorkers) {
+  // Worker 0 parks in its first step until workers 1 and 2 have
+  // finished 16 steps between them. The model mirror believes the three
+  // equal workers progress alike, so a master that follows its ranking
+  // keeps feeding worker 0, blocks on its full inbox, and starves the
+  // others: the gate could only open at its 5 s timeout. A master that
+  // serves whichever worker can act keeps 1 and 2 busy, so the gate
+  // opens by their progress.
+  const matrix::Partition part(64, 64, 64, 8);  // r = s = t = 8
+  const auto plat = platform::Platform::homogeneous(3, 0.01, 0.002, 21);
+  const auto a = random_matrix(64, 64, 81);
+  const auto b = random_matrix(64, 64, 82);
+  matrix::Matrix c(64, 64, 0.0);
+
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable progressed;
+    int others_started = 0;  // steps workers 1 and 2 entered
+    bool used = false;
+    bool opened_by_progress = false;
+  };
+  const auto gate = std::make_shared<Gate>();
+  ExecutorOptions options;
+  options.fault_hook = [gate](int worker, std::size_t) {
+    std::unique_lock lock(gate->mutex);
+    if (worker != 0) {
+      ++gate->others_started;
+      gate->progressed.notify_all();
+      return;
+    }
+    if (gate->used) return;
+    gate->used = true;
+    // Each of workers 1 and 2 has at most one step in flight, so 18
+    // entered steps mean at least 16 finished.
+    gate->opened_by_progress = gate->progressed.wait_for(
+        lock, std::chrono::seconds(5),
+        [&] { return gate->others_started >= 18; });
+  };
+
+  auto scheduler = sched::make_oddoml(plat, part);
+  const ExecutorReport report =
+      execute_online(scheduler, plat, part, a, b, c, options);
+
+  EXPECT_TRUE(gate->opened_by_progress);
+  EXPECT_TRUE(report.verified);
 }
 
 // ---- sim vs runtime decision parity ----------------------------------------

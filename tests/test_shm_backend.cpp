@@ -3,7 +3,8 @@
 // double-release race, leak counters, cross-thread stress), descriptor
 // frame round-trips against a real arena, cross-transport parity
 // (thread vs shm backends produce identical decision sequences and
-// bit-for-bit identical C for every registered scheduler), SIGKILL'd
+// bit-for-bit identical C for every registered scheduler),
+// Endpoint::can_send against the worker's ack-board count, SIGKILL'd
 // workers as recoverable failures WITH no arena slot leaked, the
 // zero-copy stats the transport reports, and the core facade's
 // Backend::kShm plumbing.
@@ -24,6 +25,7 @@
 
 #include "core/experiment.hpp"
 #include "core/run.hpp"
+#include "inbox_probe.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/serde.hpp"
 #include "runtime/shared_arena.hpp"
@@ -459,6 +461,11 @@ TEST(ShmBackend, StatsShowZeroCopyPayloadsAndDescriptorSizedWire) {
   // The process transport reports no arena (it has none).
   EXPECT_EQ(forked.report.transport_stats.arena_slots, 0u);
   EXPECT_EQ(forked.report.transport_stats.bytes_zero_copied, 0u);
+}
+
+TEST(ShmBackend, CanSendFollowsTheAckBoard) {
+  HMXP_SKIP_UNDER_TSAN();
+  expect_can_send_tracks_the_inbox(TransportKind::kShm);
 }
 
 // ---- worker death and slot reclamation --------------------------------------
