@@ -192,6 +192,65 @@ void BM_BlockUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockUpdate);
 
+/// The product-kernel suite workload's geometry: n = 1280, q = 80, and
+/// worker 0's chunks are mu = 6 blocks square, so one step updates a
+/// 480 x 480 C chunk with a 480 x 80 A panel and an 80 x 480 B panel.
+constexpr std::size_t kStepN = 1280;
+constexpr std::size_t kStepQ = 80;
+constexpr std::size_t kStepSide = 6 * kStepQ;
+
+void BM_StepUpdate(benchmark::State& state) {
+  // One worker step as the thread worker runs it. lent:0 reads dense
+  // panels (the copies the master used to make); lent:1 reads the
+  // panels in place, as windows of the 1280-wide A and B -- what a
+  // thread worker does now that the master lends them.
+  const bool lent = state.range(0) != 0;
+  util::Rng rng(6);
+  // The dense panels themselves, or the whole operands they are
+  // windows of.
+  const auto a = lent ? matrix::Matrix::random(kStepN, kStepN, rng)
+                      : matrix::Matrix::random(kStepSide, kStepQ, rng);
+  const auto b = lent ? matrix::Matrix::random(kStepN, kStepN, rng)
+                      : matrix::Matrix::random(kStepQ, kStepSide, rng);
+  const matrix::ConstView a_panel = a.window(0, 0, kStepSide, kStepQ);
+  const matrix::ConstView b_panel = b.window(0, 0, kStepQ, kStepSide);
+  matrix::Matrix c(kStepSide, kStepSide, 0.0);
+  for (auto _ : state) {
+    matrix::gemm_auto(a_panel, b_panel, c.view());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      matrix::gemm_flops(kStepSide, kStepSide, kStepQ) *
+          static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_StepUpdate)->ArgName("lent")->Arg(0)->Arg(1);
+
+void BM_WindowCopy(benchmark::State& state) {
+  // The per-step copy the master no longer makes: the A and B panels of
+  // one BM_StepUpdate step, out of the 1280-wide matrices into dense
+  // buffers.
+  util::Rng rng(7);
+  const auto a = matrix::Matrix::random(kStepN, kStepN, rng);
+  const auto b = matrix::Matrix::random(kStepN, kStepN, rng);
+  std::vector<double> a_panel(kStepSide * kStepQ);
+  std::vector<double> b_panel(kStepQ * kStepSide);
+  for (auto _ : state) {
+    matrix::copy_into(a.window(0, 0, kStepSide, kStepQ),
+                      matrix::View(a_panel.data(), kStepSide, kStepQ, kStepQ));
+    matrix::copy_into(
+        b.window(0, 0, kStepQ, kStepSide),
+        matrix::View(b_panel.data(), kStepQ, kStepSide, kStepSide));
+    benchmark::DoNotOptimize(a_panel.data());
+    benchmark::DoNotOptimize(b_panel.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(
+      state.iterations() * 2 * kStepSide * kStepQ * sizeof(double)));
+}
+BENCHMARK(BM_WindowCopy);
+
 void BM_EngineDecisionThroughput(benchmark::State& state) {
   // Full simulated run of ODDOML on the Fig. 4 platform; reports
   // scheduling decisions per second, the cost driver of Het's phase 1.

@@ -45,21 +45,6 @@ Window c_window(const matrix::Partition& part, const matrix::BlockRect& rect) {
   return window;
 }
 
-/// Copies an element window into transport-allocated payload storage:
-/// a pool-recycled vector (thread/process) or a shared-arena slot the
-/// shm worker will read in place. In steady state this is a pure copy,
-/// no heap allocation -- and for the shm transport it is the ONLY copy
-/// the payload ever experiences.
-Payload copy_window(Endpoint& endpoint, BufferPool& pool,
-                    const matrix::Matrix& source, std::size_t row0,
-                    std::size_t row1, std::size_t col0, std::size_t col1) {
-  Payload payload =
-      endpoint.allocate_payload((row1 - row0) * (col1 - col0), pool);
-  matrix::View dst(payload.data(), row1 - row0, col1 - col0, col1 - col0);
-  matrix::copy_into(source.window(row0, col0, row1 - row0, col1 - col0), dst);
-  return payload;
-}
-
 /// The largest single payload a run under `part` can ship: a whole-C
 /// chunk, a full-height A panel, or a full-width B panel. Sizes the shm
 /// transport's arena slots (MAP_NORESERVE keeps untouched tails free).
@@ -73,12 +58,12 @@ std::size_t max_payload_doubles(const matrix::Partition& part) {
 /// Excludes the matrices' element storage from fork inheritance while
 /// the forking transports spawn their workers, then restores it.
 ///
-/// Worker processes never touch the master's matrices -- every payload
-/// reaches them serialized (stream transport) or through the shared
-/// arena (shm transport) -- yet fork() still copies the page tables of
-/// those megabytes and marks every writable page copy-on-write. The
-/// master then takes a soft fault on each C page it merges results
-/// into, every run. MADV_DONTFORK keeps the spans out of the children
+/// Worker processes never touch the master's matrices -- the windows
+/// the master lends are read in the master, by the stream encoder or
+/// the shm packer, and reach a child only as frame bytes or arena
+/// slots -- yet fork() still copies the page tables of those megabytes
+/// and marks every writable page copy-on-write. The master then takes
+/// a soft fault on each C page it merges results into, every run. MADV_DONTFORK keeps the spans out of the children
 /// entirely: cheaper forks, no post-fork CoW tax. Best-effort (madvise
 /// can fail on exotic mappings; that only restores the old cost) and
 /// interior-page only, so allocator metadata sharing a page with the
@@ -354,9 +339,9 @@ class OnlineExecutor final : public sim::ExecutionView {
     // by the mirror's SendAB timing. A fleet job skips all of this: the
     // fleet's transport (and its workers) already exist.
     if (fleet_ == nullptr) {
-      // Workers never see the master's matrices (payloads travel
-      // serialized or through the shared arena), so keep those pages
-      // out of the forks entirely -- see ForkVisibilityGuard.
+      // Forked workers never see the master's matrices (lent windows
+      // are encoded or packed in the master), so keep those pages out
+      // of the forks entirely -- see ForkVisibilityGuard.
       const ForkVisibilityGuard fork_guard(
           options_.transport != TransportKind::kThread, a_, b_, c_);
       owned_transport_ = make_transport(options_.transport,
@@ -728,6 +713,15 @@ class OnlineExecutor final : public sim::ExecutionView {
         blocks * options_.throttle_block_seconds * factor));
   }
 
+  /// The element window [row0, row1) x [col0, col1) of `source`, lent
+  /// for the message that carries it: the endpoint's send decides
+  /// whether it travels as is, encoded or packed (transport.hpp).
+  Payload lend(const matrix::Matrix& source, std::size_t row0,
+               std::size_t row1, std::size_t col0, std::size_t col1) {
+    return Payload::lend(
+        source.window(row0, col0, row1 - row0, col1 - col0), loans_);
+  }
+
   void execute_real(const sim::Decision& decision) {
     const auto w = static_cast<std::size_t>(decision.worker);
     MasterView& view = views_[w];
@@ -742,8 +736,8 @@ class OnlineExecutor final : public sim::ExecutionView {
         message.plan = decision.chunk;
         message.element_rows = window.rows();
         message.element_cols = window.cols();
-        message.c = copy_window(endpoint, *pool_, c_, window.row0, window.row1,
-                                window.col0, window.col1);
+        message.c = lend(c_, window.row0, window.row1, window.col0,
+                         window.col1);
         message.seq = ++view.seq;
         throttle(decision.worker,
                  static_cast<double>(decision.chunk.rect.count()));
@@ -763,10 +757,8 @@ class OnlineExecutor final : public sim::ExecutionView {
         message.step = view.steps_sent;
         message.k_elem_begin = ek0;
         message.k_elems = ek1 - ek0;
-        message.a = copy_window(endpoint, *pool_, a_, view.window.row0,
-                                view.window.row1, ek0, ek1);
-        message.b = copy_window(endpoint, *pool_, b_, ek0, ek1,
-                                view.window.col0, view.window.col1);
+        message.a = lend(a_, view.window.row0, view.window.row1, ek0, ek1);
+        message.b = lend(b_, ek0, ek1, view.window.col0, view.window.col1);
         throttle(decision.worker, static_cast<double>(step.operand_blocks));
         endpoint.send(std::move(message));
         ++view.steps_sent;
@@ -857,6 +849,13 @@ class OnlineExecutor final : public sim::ExecutionView {
   /// at the latest one slice later.
   static constexpr std::chrono::milliseconds kWaitSlice{50};
 
+  // Declared first, so destroyed last: the windows this run lent over
+  // A, B and C. A thread worker a cancel or a kill left mid-step may
+  // still read one after run() is done, and this count's destructor
+  // holds execute_online and execute_on_fleet until it is back -- the
+  // loan rule (payload.hpp) -- so the caller may free A, B and C the
+  // moment either returns or throws.
+  Loans loans_;
   sim::Engine mirror_;
   const matrix::Matrix& a_;
   const matrix::Matrix& b_;

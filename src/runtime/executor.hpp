@@ -13,8 +13,11 @@
 //    policies make their decisions on real data, not on a pre-recorded
 //    log. Het keeps its two-phase structure: its builder still simulates
 //    the eight variants and hands the runtime a ReplayScheduler;
-//  * the master owns A, B and C, extracts block panels into messages and
-//    folds returned C chunks back in (the "centralized data" hypothesis);
+//  * the master owns A, B and C, lends block panels to messages (the
+//    transport decides how they travel; runtime/payload.hpp's loan rule
+//    keeps A, B and C alive and unwritten while a worker can read them)
+//    and folds returned C chunks back in (the "centralized data"
+//    hypothesis);
 //  * the transport enforces the worker-side buffer limits for real --
 //    bounded channels on the thread transport, explicit buffer credits
 //    on the stream transport; a master pushing past a worker's buffers

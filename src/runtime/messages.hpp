@@ -1,13 +1,16 @@
-// Messages exchanged between the master and its workers. Payloads are
-// dense copies of the covered element windows -- the worker owns its
-// copy, exactly like an MPI rank owns its receive buffer -- carried as
-// runtime::Payload, which abstracts WHERE the copy lives: a heap vector
-// recycled through the run's runtime::BufferPool (thread and process
-// transports), or a window into a cross-process runtime::SharedArena
-// slot (the zero-copy shm transport). Either way, in steady state the
-// data plane moves its element storage -- the dominant, O(panel)
-// allocations -- without allocating any; only O(1)-sized bookkeeping
-// (channel nodes, plan metadata) still touches the heap per step.
+// Messages exchanged between the master and its workers. Every payload
+// is a runtime::Payload (runtime/payload.hpp), which abstracts WHERE
+// its elements live. The master sends windows it lends over its own A,
+// B and C -- no copy -- and each transport's Endpoint::send decides
+// how a window travels: a thread worker reads A and B in place and gets
+// a private pool copy of C, a stream encodes the rows straight into its
+// frame, shm packs them into an arena slot. Whatever a worker receives
+// is read-only except its C, which is its own to accumulate into: a
+// pool vector (thread, and every stream decoder) or an arena slot (shm).
+// In steady state the data plane moves its element storage -- the
+// dominant, O(panel) allocations -- without allocating any; only
+// O(1)-sized bookkeeping (channel nodes, plan metadata) still touches
+// the heap per step.
 #pragma once
 
 #include <cstddef>

@@ -41,6 +41,14 @@ class Writer {
   void doubles(const std::vector<double>& values) {
     doubles(values.data(), values.size());
   }
+  /// The same layout for a payload in any home: a lent window's rows
+  /// go straight into the frame, so its bytes match its dense copy's.
+  void doubles(const Payload& payload) {
+    u64(payload.size());
+    payload.for_each_row([this](const double* row, std::size_t count) {
+      raw(row, count * sizeof(double));
+    });
+  }
   /// An arena payload as a (slot, length) descriptor -- the whole point
   /// of the shm transport: bytes stay in the slot, only this crosses.
   void slot_ref(const Payload& payload) {
@@ -198,7 +206,7 @@ void encode_chunk(const ChunkMessage& message, ByteBuffer& out) {
     // vector -- or worse, an arena slot the sender still owns -- behind
     // the caller's back), so every fallible field precedes acquisition.
     writer.u64(message.seq);
-    writer.doubles(message.c.data(), message.c.size());
+    writer.doubles(message.c);
   });
 }
 
@@ -209,8 +217,8 @@ void encode_operand(const OperandMessage& message, ByteBuffer& out) {
     writer.u64(message.step);
     writer.u64(message.k_elem_begin);
     writer.u64(message.k_elems);
-    writer.doubles(message.a.data(), message.a.size());
-    writer.doubles(message.b.data(), message.b.size());
+    writer.doubles(message.a);
+    writer.doubles(message.b);
   });
 }
 
@@ -222,7 +230,7 @@ void encode_result(const ResultMessage& message, ByteBuffer& out) {
     writer.u64(message.element_rows);
     writer.u64(message.element_cols);
     writer.u64(message.seq);  // before the payload (see encode_chunk)
-    writer.doubles(message.c.data(), message.c.size());
+    writer.doubles(message.c);
     writer.u64(message.updates_performed);
     writer.doubles(message.step_seconds);
   });

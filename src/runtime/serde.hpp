@@ -12,10 +12,11 @@
 // stream are the same machine by construction (a cross-machine MPI/ssh
 // transport would pin endianness here and change nothing else).
 //
-// Payload element vectors (the dense C / A / B windows) are checked out
-// of the caller's BufferPool on decode, so a steady-state master
-// deserializes results without allocating -- the same recycling
-// discipline the zero-copy thread transport enjoys.
+// The encoders take a payload in any home: a window the master lent is
+// written row by row straight into the frame, byte for byte what its
+// dense copy would encode to. Decoded payloads are dense element
+// vectors checked out of the caller's BufferPool, so a steady-state
+// master deserializes results without allocating.
 #pragma once
 
 #include <cstddef>

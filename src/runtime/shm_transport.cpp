@@ -8,10 +8,9 @@
 // address: a SharedArena of fixed 64-byte-aligned payload slots, a
 // SharedAckBoard of per-worker dequeue counters (the credit scheme
 // reduced to one atomic add), and a pair of SPSC frame rings per worker
-// (inbox and outbox) with futex doorbells. The master packs each
-// outbound C chunk and A/B panel straight into an arena slot (the
-// executor's copy_window writes there via Endpoint::allocate_payload)
-// and commits a descriptor frame -- (slot, length) -- to the worker's
+// (inbox and outbox) with futex doorbells. The endpoint packs each C,
+// A and B window the master lends straight into an arena slot and
+// commits a descriptor frame -- (slot, length) -- to the worker's
 // inbox ring with a single cursor bump. The worker computes directly
 // from -- and into -- the shared slots and hands the C slot back by
 // descriptor through its outbox ring. Zero payload copies AND zero
@@ -23,7 +22,7 @@
 // Slot accounting is the run's second backpressure rule (alongside the
 // credit scheme): the arena is sized so a full complement of in-flight
 // messages always fits (16 slots per worker vs a worst case of ~7),
-// but a master that somehow outruns it blocks in allocate_payload,
+// but a master that somehow outruns it blocks in send while it packs,
 // pumping its socket, until a slot frees. Slots are tagged with the
 // worker they are bound for, which is what makes SIGKILL recovery
 // exact: a dead child's outstanding slots -- including one it held
@@ -536,29 +535,16 @@ class ShmEndpoint final : public ForkedEndpoint {
         acks_(acks) {}
 
   // ----- Endpoint -----
-  /// Checks out an arena slot tagged with this worker instead of a pool
-  /// vector: whatever the executor packs into it is already where the
-  /// worker will read it. Blocks (pumping the socket, so death and
-  /// credits keep flowing) while the arena is saturated -- arena
-  /// capacity is part of the backpressure rule.
-  Payload allocate_payload(std::size_t size, BufferPool& pool) override {
-    (void)pool;  // arena payloads never touch the heap pool
-    HMXP_CHECK(size <= arena_->slot_doubles(),
-               "payload exceeds the arena slot size");
-    for (;;) {
-      if (auto slot =
-              arena_->try_acquire(static_cast<std::uint32_t>(index_)))
-        return Payload::arena_view(arena_, slot->index, slot->data, size);
-      throw_if_dead();
-      // A full arena frees through worker progress (slot releases are
-      // shared-memory stores -- no frame announces them): drain queued
-      // results and nap briefly, re-checking for death each lap.
-      wait_io_and_rings(/*timeout_ms=*/1);
-    }
-  }
-
   void send(WorkerMessage message) override {
     throw_if_dead();
+    // The lent windows move into arena slots first: that packing is the
+    // only copy a payload ever sees on this transport.
+    if (auto* chunk = std::get_if<ChunkMessage>(&message)) {
+      chunk->c = pack(chunk->c);
+    } else if (auto* operands = std::get_if<OperandMessage>(&message)) {
+      operands->a = pack(operands->a);
+      operands->b = pack(operands->b);
+    }
     // The bounded-inbox rule, checked BEFORE the frame is committed:
     // at most `capacity_` frames may sit unacknowledged in the
     // worker's inbox. Acks arrive through the shared board, so a
@@ -723,6 +709,28 @@ class ShmEndpoint final : public ForkedEndpoint {
   }
 
  private:
+  /// Copies `window` into an arena slot tagged with this worker: the
+  /// worker reads it where the master put it. Blocks (pumping the
+  /// socket, so death and credits keep flowing) while the arena is
+  /// saturated -- arena capacity is part of the backpressure rule.
+  Payload pack(const Payload& window) {
+    HMXP_CHECK(window.size() <= arena_->slot_doubles(),
+               "payload exceeds the arena slot size");
+    for (;;) {
+      if (auto slot =
+              arena_->try_acquire(static_cast<std::uint32_t>(index_))) {
+        window.copy_to(slot->data);
+        return Payload::arena_view(arena_, slot->index, slot->data,
+                                   window.size());
+      }
+      throw_if_dead();
+      // A full arena frees through worker progress (slot releases are
+      // shared-memory stores -- no frame announces them): drain queued
+      // results and nap briefly, re-checking for death each lap.
+      wait_io_and_rings(/*timeout_ms=*/1);
+    }
+  }
+
   /// Commits the frame encoded in tx_ to the worker's inbox ring,
   /// parking on the tail cursor if the ring is somehow full (the
   /// credit window keeps it far from full in practice). Throws if the

@@ -1,9 +1,10 @@
-// ThreadTransport: the in-process backend, today's threaded runtime
-// re-seated behind the Transport interface with NO behaviour change.
-// One std::thread per worker runs worker_main over a pair of bounded
-// channels; messages move by value (zero-copy payload vectors recycled
-// through the master's shared BufferPool), and the channel bound IS the
-// worker's buffer capacity: a master pushing past it blocks. A master
+// ThreadTransport: the in-process backend. One std::thread per worker
+// runs worker_main over a pair of bounded channels; messages move by
+// value, and the channel bound IS the worker's buffer capacity: a
+// master pushing past it blocks. A and B windows the master lends
+// travel as they are -- the worker reads the master's matrices in
+// place -- while a lent C window becomes a private copy in a vector of
+// the master's shared BufferPool, which the result carries home. A master
 // with nothing to do parks on all its workers at once (wait_any), and a
 // worker wakes it for a dequeue, a result or its death only when the
 // master is parked waiting for exactly that.
@@ -91,6 +92,20 @@ class ThreadWorker final : public WorkerPort {
   /// Valid once failed() is observed (or after join()).
   const std::exception_ptr& error() const { return error_; }
 
+  /// Hands every payload still queued in the inbox back to `pool`, and
+  /// every lent window's loan back to its lender.
+  void drain_inbox(BufferPool& pool) {
+    while (auto message = inbox_.try_pop()) {
+      if (auto* chunk = std::get_if<ChunkMessage>(&*message)) {
+        chunk->c.release_to(pool);
+      } else if (auto* operands = std::get_if<OperandMessage>(&*message)) {
+        operands->a.release_to(pool);
+        operands->b.release_to(pool);
+      }
+      // CancelMessage carries no payload: nothing to reclaim.
+    }
+  }
+
   // ----- WorkerPort (the worker-side face of the channels) -----
   std::optional<WorkerMessage> receive() override {
     return ring_on_dequeue(inbox_.pop());
@@ -128,6 +143,11 @@ class ThreadWorker final : public WorkerPort {
       failed_.store(true, std::memory_order_release);
       inbox_.close();
       outbox_.close();
+      // Nobody reads the inbox now. Empty it at once: the windows its
+      // messages carry go back to their lender even when no master
+      // comes to drain this worker -- one that cancelled its chunk and
+      // gave up the lease, say -- and that lender waits for them.
+      drain_inbox(*pool_);
       ring(kSlotFreed | kResultIn);  // a death is news to any master
     }
   }
@@ -147,10 +167,18 @@ class ThreadWorker final : public WorkerPort {
 
 class ThreadEndpoint final : public Endpoint {
  public:
-  ThreadEndpoint(ThreadWorker* worker, TransportStats* stats)
-      : worker_(worker), stats_(stats) {}
+  ThreadEndpoint(ThreadWorker* worker, BufferPool* pool,
+                 TransportStats* stats)
+      : worker_(worker), pool_(pool), stats_(stats) {}
 
   void send(WorkerMessage message) override {
+    // The worker accumulates into its C, and FT rollback and SP twins
+    // need the master's C untouched: C travels as a private copy.
+    if (auto* chunk = std::get_if<ChunkMessage>(&message)) {
+      std::vector<double> copy = pool_->acquire(chunk->c.size());
+      chunk->c.copy_to(copy.data());
+      chunk->c = std::move(copy);
+    }
     worker_->inbox().push(std::move(message));
     ++stats_->messages_sent;
   }
@@ -181,21 +209,14 @@ class ThreadEndpoint final : public Endpoint {
   /// Hands every payload still queued on the worker's channels back to
   /// the pool (the channels survive close() for draining).
   void drain(BufferPool& pool) override {
-    while (auto message = worker_->inbox().try_pop()) {
-      if (auto* chunk = std::get_if<ChunkMessage>(&*message)) {
-        chunk->c.release_to(pool);
-      } else if (auto* operands = std::get_if<OperandMessage>(&*message)) {
-        operands->a.release_to(pool);
-        operands->b.release_to(pool);
-      }
-      // CancelMessage carries no payload: nothing to reclaim.
-    }
+    worker_->drain_inbox(pool);
     while (auto result = worker_->outbox().try_pop())
       result->c.release_to(pool);
   }
 
  private:
   ThreadWorker* worker_;
+  BufferPool* pool_;
   TransportStats* stats_;
 };
 
@@ -215,7 +236,7 @@ class ThreadTransport final : public Transport {
       // counters, so concurrent master loops over disjoint endpoint
       // sets (fleet mode) never race here; stats() sums at quiescence.
       endpoints_.push_back(std::make_unique<ThreadEndpoint>(
-          workers_.back().get(),
+          workers_.back().get(), pool,
           &endpoint_stats_[static_cast<std::size_t>(i)]));
     }
     for (auto& worker : workers_) worker->start();

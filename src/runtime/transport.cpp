@@ -45,10 +45,6 @@ TransportStats& TransportStats::operator+=(const TransportStats& other) {
   return *this;
 }
 
-Payload Endpoint::allocate_payload(std::size_t size, BufferPool& pool) {
-  return Payload(pool.acquire(size));
-}
-
 std::unique_ptr<Transport> make_transport(
     TransportKind kind, int workers, std::size_t inbox_capacity,
     const ExecutorOptions& options,

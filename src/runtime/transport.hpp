@@ -8,12 +8,15 @@
 // descriptor. Three transports implement its four kinds:
 //
 //   * ThreadTransport (thread_transport.cpp, kThread) -- one std::thread
-//     per worker over bounded in-process channels. Zero-copy: messages
-//     move by value, payload vectors cycle through the shared
-//     BufferPool.
+//     per worker over bounded in-process channels. Messages move by
+//     value; the worker reads a lent A or B window in place, with the
+//     master's leading dimension, and the endpoint copies a lent C
+//     window into a pool vector, because the worker accumulates into
+//     its C and FT rollback and SP twins need the master's untouched.
 //   * StreamTransport (stream_transport.cpp, kProcess and kTcp) -- one
 //     forked worker PROCESS per worker over one byte stream, messages
-//     serialized as length-prefixed frames (runtime/serde.hpp). The
+//     serialized as length-prefixed frames (runtime/serde.hpp); the
+//     encoder writes a lent window's rows straight into the frame. The
 //     kinds differ only in where a worker's fd comes from: a pre-fork
 //     socketpair(2) end (kProcess), or a dial to the master's loopback
 //     listen socket (kTcp), whose dropped connections may come back --
@@ -22,12 +25,19 @@
 //     worker failure the master survives under tolerate_faults.
 //   * ShmTransport (shm_transport.cpp, kShm) -- forked workers whose
 //     whole data plane lives in pre-fork MAP_SHARED memory: payloads in
-//     a SharedArena, descriptor frames (slot, length) in per-worker SPSC
-//     byte rings, and dequeue acknowledgements on a futex-backed shared
-//     ack board. The socketpair survives only as the bootstrap and
-//     death channel (handshake, worker error reports, EOF on child
-//     exit). Zero-copy ACROSS the process boundary: process isolation
-//     at thread-backend speed.
+//     a SharedArena (the endpoint packs each lent window into a slot it
+//     acquires for the worker, blocking while the arena is full, which
+//     makes arena capacity part of the backpressure rule), descriptor
+//     frames (slot, length) in per-worker SPSC byte rings, and dequeue
+//     acknowledgements on a futex-backed shared ack board. The
+//     socketpair survives only as the bootstrap and death channel
+//     (handshake, worker error reports, EOF on child exit). Zero-copy
+//     ACROSS the process boundary: process isolation at thread-backend
+//     speed.
+//
+// Stream and shm are done with a lent window when send returns; only a
+// thread worker reads one later, so only a thread run has loans out
+// between decisions (the loan rule in runtime/payload.hpp).
 //
 // The two fork-based transports share one worker-process lifecycle
 // (runtime/forked_worker.hpp): spawning, the hello -> ack handshake,
@@ -108,10 +118,13 @@ class Endpoint {
  public:
   virtual ~Endpoint() = default;
 
-  /// Ships a message to the worker. Blocks while the worker's bounded
-  /// inbox is full (the prefetch_depth + 1 backpressure rule). Throws
-  /// if the worker is dead; with ExecutorOptions::tolerate_faults the
-  /// master catches this, rolls its mirror back and recovers.
+  /// Ships a message to the worker. Its payloads are windows the
+  /// master lent (Payload::lend), and the endpoint decides how they
+  /// travel (see the top of this file). Blocks while the worker's
+  /// bounded inbox is full (the prefetch_depth + 1 backpressure rule).
+  /// Throws if the worker is dead; with ExecutorOptions::
+  /// tolerate_faults the master catches this, rolls its mirror back and
+  /// recovers.
   virtual void send(WorkerMessage message) = 0;
 
   /// True while the worker's bounded inbox has a free slot, i.e. send()
@@ -147,18 +160,12 @@ class Endpoint {
   virtual void kill() = 0;
 
   /// Hands every payload still queued on the endpoint back to the pool
-  /// (a dead worker's in-flight messages must not leak their buffers).
+  /// (a dead worker's in-flight messages must not leak their buffers,
+  /// nor keep the loans of the windows they carry).
   /// The shm endpoint additionally reclaims every arena slot the dead
   /// worker still held -- including slots a SIGKILL'd child was holding
   /// mid-compute -- so fault recovery never leaks arena capacity.
   virtual void drain(BufferPool& pool) = 0;
-
-  /// Checks out payload storage for a message headed to THIS worker.
-  /// The default hands out a pool vector (thread/stream transports);
-  /// the shm endpoint instead acquires an arena slot tagged with this
-  /// worker, blocking -- and pumping its socket -- while the arena is
-  /// full, which makes arena capacity part of the backpressure rule.
-  virtual Payload allocate_payload(std::size_t size, BufferPool& pool);
 
   /// Worker re-admission: a transport whose workers can come BACK (the
   /// kTcp stream's reconnect lifecycle) reports here that a failed

@@ -162,8 +162,10 @@ class WorkerLoop {
     const std::size_t rows = chunk.element_rows;
     const std::size_t cols = chunk.element_cols;
     const std::size_t kk = operands.k_elems;
-    matrix::ConstView a(operands.a.data(), rows, kk, kk);
-    matrix::ConstView b(operands.b.data(), kk, cols, cols);
+    // A window the master lent (thread workers) keeps its leading
+    // dimension: the micro-kernel packs straight from A and B.
+    const matrix::ConstView a = operands.a.view(rows, kk);
+    const matrix::ConstView b = operands.b.view(kk, cols);
     matrix::View c(chunk.c.data(), rows, cols, cols);
     matrix::gemm_auto(a, b, c);
 
@@ -182,7 +184,9 @@ class WorkerLoop {
         std::chrono::duration<double>(Clock::now() - step_begin).count());
 
     // Operand buffers are consumed: hand their storage back for reuse
-    // (arena slots return to the arena, pool vectors to the pool).
+    // (arena slots return to the arena, pool vectors to the pool, lent
+    // windows' loans to the master) BEFORE the result ships, so a
+    // master that has every result back has every loan back too.
     operands.a.release_to(pool_);
     operands.b.release_to(pool_);
 

@@ -67,8 +67,9 @@ class WorkerPort {
 
 /// Runs the worker protocol until the port closes. Payload buffers cycle
 /// through `pool` (the shared master pool for thread workers, a private
-/// per-process pool for forked workers). Throws on scheduled faults,
-/// fault-hook injections, protocol violations, or port errors.
+/// per-process pool for forked workers); lent windows go back to their
+/// lender instead. Throws on scheduled faults, fault-hook injections,
+/// protocol violations, or port errors.
 void worker_main(const WorkerContext& context, WorkerPort& port,
                  BufferPool& pool);
 

@@ -53,30 +53,38 @@ AdmissionVerdict price_job(const JobSpec& spec,
                   " doubles) exceeds the fleet's sizing ceiling (" +
                   std::to_string(max_payload_doubles) + ")");
 
-  // Steady-state pricing over the leasable platform, with each w_i
-  // scaled by its observed drift -- a worker that slowed 2x since
-  // calibration is priced at its real speed, not its datasheet.
-  std::vector<model::SteadyWorker> workers = platform.steady_workers();
-  const std::size_t p = workers.size();
-  for (std::size_t i = 0; i < p; ++i) {
+  // The leasable platform as declared: a dead worker can never be
+  // leased, so it is priced out entirely.
+  std::vector<model::SteadyWorker> declared = platform.steady_workers();
+  const std::size_t p = declared.size();
+  for (std::size_t i = 0; i < p; ++i)
+    if (i < alive.size() && !alive[i]) declared[i].mu = 0;
+
+  // Pricing: each w_i scaled by its observed drift -- a worker that
+  // slowed 2x since calibration is priced at its real speed, not its
+  // datasheet.
+  std::vector<model::SteadyWorker> drifted = declared;
+  for (std::size_t i = 0; i < p; ++i)
     if (i < drift.size() && std::isfinite(drift[i]) && drift[i] > 0.0)
-      workers[i].w *= drift[i];
-    if (i < alive.size() && !alive[i]) {
-      // A dead worker can never be leased: price it out entirely.
-      workers[i].mu = 0;
-    }
-  }
+      drifted[i].w *= drift[i];
   const model::SteadyStateSolution solution =
-      model::solve_bandwidth_centric(workers);
+      model::solve_bandwidth_centric(drifted);
   if (solution.throughput <= 0.0)
     return reject("no leasable worker can sustain any throughput");
 
   // Table 2 memory feasibility: the buffers each enrolled worker needs
   // to HOLD its steady-state rate must fit its memory, or the schedule
   // stalls on operand starvation no matter what the scheduler does.
-  const std::vector<double> demand = model::steady_state_buffer_demand(workers);
+  // Checked on the declared speeds, not the drifted ones: memory does
+  // not depend on speed, and one noisy drift sample -- a descheduled
+  // thread worker timing a tiny step -- must not turn away a job that
+  // fits.
+  const model::SteadyStateSolution steady =
+      model::solve_bandwidth_centric(declared);
+  const std::vector<double> demand =
+      model::steady_state_buffer_demand(declared);
   for (std::size_t i = 0; i < p; ++i) {
-    if (solution.x[i] <= 1e-12) continue;
+    if (steady.x[i] <= 1e-12) continue;
     const double memory =
         static_cast<double>(platform.worker(static_cast<int>(i)).m);
     if (demand[i] > memory)

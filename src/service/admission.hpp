@@ -5,11 +5,13 @@
 // (model/steady_state.hpp) over the fleet's platform -- with each w_i
 // scaled by the worker's observed calibration drift -- yields the
 // honest throughput the fleet can sustain, and the Table 2 buffer
-// demand says how many block buffers each enrolled worker needs to hold
-// that rate. A job whose steady-state working set overcommits a
-// worker's memory, whose payloads exceed the fleet's sizing ceiling, or
-// whose policy cannot survive lease churn is rejected with a reason
-// instead of wedging the queue.
+// demand of the declared (drift-free) steady state says how many block
+// buffers each enrolled worker needs -- memory does not depend on
+// speed, so a noisy drift sample never decides feasibility. A job whose
+// steady-state working set overcommits a worker's memory, whose
+// payloads exceed the fleet's sizing ceiling, or whose policy cannot
+// survive lease churn is rejected with a reason instead of wedging the
+// queue.
 #pragma once
 
 #include <cstddef>

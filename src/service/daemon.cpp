@@ -110,13 +110,22 @@ std::uint64_t Daemon::submit(const JobSpec& spec) {
 
 JobResult Daemon::wait(std::uint64_t job_id) {
   std::unique_lock<std::mutex> lock(jobs_mutex_);
+  HMXP_REQUIRE(jobs_.count(job_id) != 0,
+               "unknown job id (or its result was already consumed)");
+  // Looked up afresh after every wake: a concurrent wait on the same id
+  // may have consumed the record meanwhile.
+  jobs_cv_.wait(lock, [&] {
+    const auto it = jobs_.find(job_id);
+    return it == jobs_.end() || terminal(it->second.state);
+  });
   const auto it = jobs_.find(job_id);
-  HMXP_REQUIRE(it != jobs_.end(), "unknown job id");
-  jobs_cv_.wait(lock, [&] { return terminal(it->second.state); });
-  HMXP_REQUIRE(!it->second.consumed, "job result already consumed");
-  it->second.consumed = true;
+  HMXP_REQUIRE(it != jobs_.end(), "job result already consumed");
   JobResult result = std::move(it->second.result);
   result.state = it->second.state;
+  // The caller owns the result now; a long-lived daemon keeps no record
+  // of the jobs it has handed back, so its memory does not grow with
+  // the number of jobs served.
+  jobs_.erase(it);
   return result;
 }
 

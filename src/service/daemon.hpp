@@ -78,10 +78,12 @@ class Daemon {
   std::uint64_t submit(const JobSpec& spec);
 
   /// Blocks until the job is terminal and returns its result (moving
-  /// the product matrix out -- wait() consumes the job; a second wait
-  /// on the same id throws).
+  /// the product matrix out -- wait() consumes the job and the daemon
+  /// drops its record, so a second wait, or a state() query, on the
+  /// same id throws).
   JobResult wait(std::uint64_t job_id);
 
+  /// State of a job that wait() has not consumed yet.
   JobState state(std::uint64_t job_id) const;
 
   /// Serves the wire protocol (service/wire.hpp) on loopback TCP.
@@ -98,11 +100,11 @@ class Daemon {
   void shutdown();
 
  private:
+  /// Kept from submit() until wait() hands the result back.
   struct JobRecord {
     JobSpec spec;
     JobState state = JobState::kQueued;
     JobResult result;
-    bool consumed = false;  // wait() already returned it
   };
 
   /// One RUNNING job's slice of the lease manager's state. Lives on the

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <vector>
@@ -29,12 +28,6 @@ bool read_signal(int fd, int timeout_ms) {
   if (::poll(&entry, 1, timeout_ms) != 1) return false;
   char byte = 0;
   return ::read(fd, &byte, 1) == 1;
-}
-
-Payload zeros(Endpoint& endpoint, BufferPool& pool, std::size_t n) {
-  Payload payload = endpoint.allocate_payload(n, pool);
-  std::fill(payload.data(), payload.data() + n, 0.0);
-  return payload;
 }
 
 /// A worker stalled by its hook reads can_send() == false once the
@@ -60,6 +53,11 @@ void expect_can_send_tracks_the_inbox(TransportKind kind) {
 
   {
     BufferPool pool;  // outlives the workers that recycle into it
+    // Every payload is a window of one zero block, lent like the
+    // executor lends A, B and C; both outlive the transport.
+    const matrix::Matrix zero(kSide, kSide, 0.0);
+    Loans loans;
+    const auto zeros = [&] { return Payload::lend(zero.view(), loans); };
     const std::unique_ptr<Transport> transport =
         make_transport(kind, /*workers=*/1, kCapacity, options,
                        std::chrono::steady_clock::now(), &pool,
@@ -72,7 +70,7 @@ void expect_can_send_tracks_the_inbox(TransportKind kind) {
         matrix::BlockRect{0, 1, 0, 1}, kSteps);
     chunk.element_rows = kSide;
     chunk.element_cols = kSide;
-    chunk.c = zeros(endpoint, pool, kSide * kSide);
+    chunk.c = zeros();
     chunk.seq = 1;
     endpoint.send(std::move(chunk));
     const auto operands = [&](std::size_t step) {
@@ -80,8 +78,8 @@ void expect_can_send_tracks_the_inbox(TransportKind kind) {
       message.step = step;
       message.k_elem_begin = step * kSide;
       message.k_elems = kSide;
-      message.a = zeros(endpoint, pool, kSide * kSide);
-      message.b = zeros(endpoint, pool, kSide * kSide);
+      message.a = zeros();
+      message.b = zeros();
       return message;
     };
     endpoint.send(operands(0));

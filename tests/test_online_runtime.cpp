@@ -10,16 +10,20 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "core/experiment.hpp"
 #include "core/run.hpp"
 #include "platform/calibration.hpp"
 #include "platform/perturbation.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/fleet.hpp"
 #include "sched/demand_driven.hpp"
 #include "sched/registry.hpp"
 #include "sched/round_robin.hpp"
@@ -77,10 +81,11 @@ TEST(OnlineRuntime, DemandDrivenHeterogeneousSlowdownVerifies) {
 
 TEST(OnlineRuntime, SteadyStateMasterLoopDoesNotAllocatePerStep) {
   // Two runs over the same platform where the second has twice the
-  // inner (k) extent, i.e. twice the operand steps. With the pooled
-  // data plane, buffer-pool ALLOCATIONS are a warm-up constant set by
-  // the number of distinct payload shapes in flight -- they must not
-  // scale with the number of scheduled steps, while acquires do.
+  // inner (k) extent, i.e. twice the operand steps. Thread workers read
+  // the A and B windows the master lends in place, so operand steps
+  // check nothing out of the buffer pool: its traffic -- each chunk's
+  // private C copy and the slowdown scratch -- is set by the chunks,
+  // not by the steps, and what it does check out is recycled.
   const auto plat = platform::Platform::homogeneous(3, 0.01, 0.002, 40);
   const auto run = [&plat](std::size_t n_ab) {
     const matrix::Partition part(40, n_ab, 48, 8);
@@ -100,14 +105,15 @@ TEST(OnlineRuntime, SteadyStateMasterLoopDoesNotAllocatePerStep) {
   const BufferPool::Stats& s2 = doubled.buffer_pool;
   // Twice the steps really happened...
   EXPECT_GT(doubled.updates_performed, base.updates_performed);
-  EXPECT_GT(s2.acquires, s1.acquires + s1.acquires / 2);
-  // ...but the heap was only touched during warm-up: every steady-state
-  // checkout was served by recycling. Allocations are bounded by the
-  // worst-case in-flight buffer population (workers x bounded-inbox
+  // ...without one more checkout: a per-step copy would add 2 operand
+  // buffers per SendAB.
+  EXPECT_EQ(s2.acquires, s1.acquires);
+  // Every checkout was served by the heap or by recycling, and the
+  // heap was only touched during warm-up: allocations are bounded by
+  // the worst-case in-flight buffer population (workers x bounded-inbox
   // messages x payloads per message, ~30 here -- a bound set by channel
   // capacities and independent of master/worker interleaving), never by
-  // the step count: a per-step allocator would be in the hundreds on
-  // the doubled run (2 operand buffers per SendAB alone).
+  // the step count.
   EXPECT_EQ(s1.allocations + s1.reuses, s1.acquires);
   EXPECT_EQ(s2.allocations + s2.reuses, s2.acquires);
   EXPECT_LE(s1.allocations, 48u);
@@ -118,6 +124,104 @@ TEST(OnlineRuntime, SteadyStateMasterLoopDoesNotAllocatePerStep) {
   // ratio dips while the allocation bound still holds, which is the
   // invariant that actually matters.)
   EXPECT_GE(s2.reuses + 48u, s2.acquires);
+}
+
+// ---- the loan rule: a fleet job never outlives the windows it lent --------
+
+/// Worker 1 parks inside its first step, holding the A and B windows
+/// the job lent it, until a watcher opens the gate 200 ms after it got
+/// there (5 s at most, so a broken test still ends).
+struct ParkedStep {
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool parked = false;
+  bool open = false;
+  std::chrono::steady_clock::time_point opened{};
+
+  bool is_parked() {
+    std::lock_guard lock(mutex);
+    return parked;
+  }
+  void park() {
+    std::unique_lock lock(mutex);
+    if (parked) return;
+    parked = true;
+    changed.notify_all();
+    changed.wait_for(lock, std::chrono::seconds(5), [&] { return open; });
+  }
+  void open_after_park(std::chrono::milliseconds delay) {
+    std::unique_lock lock(mutex);
+    if (!changed.wait_for(lock, std::chrono::seconds(5),
+                          [&] { return parked; }))
+      return;
+    lock.unlock();
+    std::this_thread::sleep_for(delay);
+    lock.lock();
+    open = true;
+    opened = std::chrono::steady_clock::now();
+    changed.notify_all();
+  }
+};
+
+/// The job's own policy, until `fail()` says the job fails mid-flight.
+class FailingScheduler final : public sim::Scheduler {
+ public:
+  FailingScheduler(std::unique_ptr<sim::Scheduler> inner,
+                   std::function<bool()> fail)
+      : inner_(std::move(inner)), fail_(std::move(fail)) {}
+  std::string name() const override { return inner_->name(); }
+  sim::Decision next(const sim::ExecutionView& view) override {
+    if (fail_()) throw std::runtime_error("job failed mid-flight");
+    return inner_->next(view);
+  }
+
+ private:
+  std::unique_ptr<sim::Scheduler> inner_;
+  std::function<bool()> fail_;
+};
+
+TEST(OnlineRuntime, FleetJobNeverOutlivesItsLoans) {
+  // The job fails while worker 1 is parked mid-step, so the master
+  // kills the workers it holds and rethrows. A killed thread worker
+  // still finishes the step it is in, reading A and B, and the caller
+  // frees A and B the moment the call throws: the call must not throw
+  // before the worker let go (else ASan sees a heap-use-after-free).
+  const matrix::Partition part(64, 64, 64, 8);  // r = s = t = 8
+  const auto plat = platform::Platform::homogeneous(2, 0.01, 0.002, 21);
+  const auto step = std::make_shared<ParkedStep>();
+  ExecutorOptions options;
+  options.fault_hook = [step](int worker, std::size_t) {
+    if (worker == 1) step->park();
+  };
+  Fleet fleet(plat, options, 64 * 64);
+  std::thread watcher(
+      [step] { step->open_after_park(std::chrono::milliseconds(200)); });
+
+  auto a = std::make_unique<matrix::Matrix>(random_matrix(64, 64, 91));
+  auto b = std::make_unique<matrix::Matrix>(random_matrix(64, 64, 92));
+  matrix::Matrix c(64, 64, 0.0);
+  FailingScheduler scheduler(
+      sched::Registry::instance().make("FT-ODDOML", plat, part),
+      [step] { return step->is_parked(); });
+  std::optional<std::chrono::steady_clock::time_point> threw;
+  try {
+    execute_on_fleet(scheduler, fleet, part, *a, *b, c, {0, 1},
+                     LeaseHooks{});
+  } catch (const std::runtime_error&) {
+    threw = std::chrono::steady_clock::now();
+  }
+  a.reset();  // the caller's operands go the moment the call is done
+  b.reset();
+  watcher.join();
+  fleet.shutdown();
+
+  ASSERT_TRUE(threw.has_value());
+  std::lock_guard lock(step->mutex);
+  ASSERT_TRUE(step->open);
+  const std::chrono::duration<double, std::milli> margin =
+      *threw - step->opened;
+  EXPECT_GE(margin.count(), 0.0)
+      << "the call rethrew while worker 1 could still read A and B";
 }
 
 // ---- readiness: serve the workers that can act --------------------------

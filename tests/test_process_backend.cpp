@@ -11,9 +11,12 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
 
+#include "matrix/matrix.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/payload.hpp"
 #include "runtime/serde.hpp"
 #include "stream_backend_suite.hpp"
 
@@ -114,6 +117,76 @@ TEST(Serde, TruncatedFrameThrowsInsteadOfMisreading) {
   EXPECT_THROW(serde::decode_chunk(wire.data() + serde::kLengthBytes,
                                    static_cast<std::size_t>(length) - 3, pool),
                std::runtime_error);
+}
+
+TEST(Serde, LentWindowsEncodeLikeTheirDenseCopies) {
+  // A strided window of a wider matrix, as the master lends it: the
+  // encoder writes its rows straight into the frame, and the frame must
+  // be byte for byte the one its dense copy encodes to.
+  matrix::Matrix wide(5, 9);
+  for (std::size_t i = 0; i < wide.rows(); ++i)
+    for (std::size_t j = 0; j < wide.cols(); ++j)
+      wide.at(i, j) = static_cast<double>(10 * i + j) + 0.125;
+  const matrix::ConstView window = wide.window(1, 2, 3, 4);  // ld 9
+  std::vector<double> dense(3 * 4);
+  matrix::copy_into(window, matrix::View(dense.data(), 3, 4, 4));
+  const std::vector<double> expected = dense;
+
+  Loans loans;
+  BufferPool pool;
+  {
+    ChunkMessage lent;
+    lent.plan = sample_plan();
+    lent.element_rows = 3;
+    lent.element_cols = 4;
+    lent.seq = 7;
+    lent.c = Payload::lend(window, loans);
+    ChunkMessage copied;
+    copied.plan = sample_plan();
+    copied.element_rows = 3;
+    copied.element_cols = 4;
+    copied.seq = 7;
+    copied.c = std::vector<double>(expected);
+
+    serde::ByteBuffer lent_wire, dense_wire;
+    serde::encode_chunk(lent, lent_wire);
+    serde::encode_chunk(copied, dense_wire);
+    EXPECT_EQ(lent_wire, dense_wire);
+    const ChunkMessage decoded = serde::decode_chunk(
+        lent_wire.data() + serde::kLengthBytes,
+        lent_wire.size() - serde::kLengthBytes, pool);
+    EXPECT_EQ(decoded.c, copied.c);
+    EXPECT_EQ(decoded.c, lent.c);
+  }
+  {
+    OperandMessage lent;
+    lent.step = 1;
+    lent.k_elem_begin = 2;
+    lent.k_elems = 4;
+    lent.a = Payload::lend(window, loans);
+    lent.b = Payload::lend(wide.window(0, 5, 4, 3), loans);
+    EXPECT_EQ(loans.outstanding(), 2u);
+    OperandMessage copied;
+    copied.step = 1;
+    copied.k_elem_begin = 2;
+    copied.k_elems = 4;
+    copied.a = std::vector<double>(expected);
+    std::vector<double> b(4 * 3);
+    matrix::copy_into(wide.window(0, 5, 4, 3), matrix::View(b.data(), 4, 3, 3));
+    copied.b = std::move(b);
+
+    serde::ByteBuffer lent_wire, dense_wire;
+    serde::encode_operand(lent, lent_wire);
+    serde::encode_operand(copied, dense_wire);
+    EXPECT_EQ(lent_wire, dense_wire);
+    const OperandMessage decoded = serde::decode_operand(
+        lent_wire.data() + serde::kLengthBytes,
+        lent_wire.size() - serde::kLengthBytes, pool);
+    EXPECT_EQ(decoded.a, copied.a);
+    EXPECT_EQ(decoded.b, copied.b);
+  }
+  // Every window went back to its lender with the message holding it.
+  EXPECT_EQ(loans.outstanding(), 0u);
 }
 
 // ---- the shared stream suite over socketpairs -------------------------------

@@ -144,6 +144,9 @@ TEST(Service, WaitConsumesTheResult) {
   ASSERT_EQ(result.state, JobState::kCompleted) << result.error;
   EXPECT_THROW(daemon.wait(id), std::exception);      // consumed
   EXPECT_THROW(daemon.wait(9999999), std::exception); // unknown id
+  // The daemon dropped the consumed job's record: its memory does not
+  // grow with the number of jobs it has served.
+  EXPECT_THROW(daemon.state(id), std::exception);
 }
 
 // ---- admission --------------------------------------------------------------
@@ -199,6 +202,29 @@ TEST(Service, PriceJobRejectsMemoryOvercommit) {
       price_job(spec, platform, drift, alive, kPayloadCeiling);
   EXPECT_FALSE(verdict.admitted);
   EXPECT_NE(verdict.reason.find("overcommits"), std::string::npos);
+}
+
+TEST(Service, PriceJobChecksMemoryOnTheDeclaredPlatform) {
+  // Drifts this large are what a descheduled thread worker reports on
+  // tiny steps. They scale the throughput estimate, but memory does not
+  // depend on speed: the job that fits at drift 1 still fits.
+  const platform::Platform platform = test_platform(4);
+  const std::vector<char> alive(4, 1);
+  const AdmissionVerdict nominal = price_job(
+      small_spec(), platform, std::vector<double>(4, 1.0), alive,
+      kPayloadCeiling);
+  ASSERT_TRUE(nominal.admitted) << nominal.reason;
+  const AdmissionVerdict noisy = price_job(
+      small_spec(), platform, {3.0, 30.0, 100.0, 1.0}, alive,
+      kPayloadCeiling);
+  EXPECT_TRUE(noisy.admitted) << noisy.reason;
+  EXPECT_DOUBLE_EQ(noisy.throughput, 400.0);
+  // Drift still prices: a fleet 100x slower sustains 100x less.
+  const AdmissionVerdict slow = price_job(
+      small_spec(), platform, std::vector<double>(4, 100.0), alive,
+      kPayloadCeiling);
+  EXPECT_TRUE(slow.admitted) << slow.reason;
+  EXPECT_DOUBLE_EQ(slow.throughput, 40.0);
 }
 
 TEST(Service, PriceJobPricesDeadWorkersOut) {

@@ -89,7 +89,7 @@ TEST(SharedArena, ExhaustionIsNonBlockingAndRecoverable) {
   auto second = arena.try_acquire(1);
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
-  // Full: the master's allocate_payload loop would now pump and retry.
+  // Full: the endpoint packing a window would now pump and retry.
   EXPECT_FALSE(arena.try_acquire(2).has_value());
   EXPECT_TRUE(arena.release(first->index));
   auto third = arena.try_acquire(2);
