@@ -15,6 +15,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "model/steady_state.hpp"
 #include "platform/generator.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/fleet.hpp"
 #include "sched/demand_driven.hpp"
 #include "sched/registry.hpp"
 #include "service/client.hpp"
@@ -270,12 +272,21 @@ void BM_EngineDecisionThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineDecisionThroughput)->Arg(400)->Arg(800);
 
-void BM_OnlineRuntime(benchmark::State& state) {
-  // End-to-end online execution: live demand-driven scheduling through
-  // the threaded master loop on real matrices. Reports blocks moved
-  // through the executor per second -- the perf trajectory of the
-  // runtime path (channel hops, window copies, mirror bookkeeping),
-  // with verification off so the reference product does not dominate.
+/// One online product per iteration: ODDOML on four homogeneous
+/// workers, n x n x n in q = 16 blocks, verification off, over
+/// `transport`. A standalone run (execute_online) spawns its fleet,
+/// runs the product and shuts the fleet down; a `warm` run is the same
+/// product as execute_on_fleet on a fleet spawned once, outside the
+/// timed loop. So each standalone row should read about its
+/// BM_FleetSpawn row plus its BM_OnlineRuntimeWarm row. Every row
+/// reports blocks and updates per wall second, the last run's pool
+/// traffic, and the data-plane counters -- wire and zero-copied bytes
+/// per second, master-side serde time per run, arena slots -- which
+/// read 0 on a transport that has none of them (the thread transport
+/// moves messages by value; only shm has an arena). A warm row reads
+/// its fleet's counters once, after the fleet's shutdown.
+void BM_Online(benchmark::State& state, runtime::TransportKind transport,
+               bool warm) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto plat = platform::Platform::homogeneous(4, 0.01, 0.002, 40);
   const matrix::Partition part(n, n, n, 16);
@@ -283,201 +294,106 @@ void BM_OnlineRuntime(benchmark::State& state) {
   const auto a = matrix::Matrix::random(n, n, rng);
   const auto b = matrix::Matrix::random(n, n, rng);
   matrix::Matrix c(n, n, 0.0);
+  runtime::ExecutorOptions options;
+  options.transport = transport;
+  options.verify = false;
+  std::optional<runtime::Fleet> fleet;
+  if (warm) fleet.emplace(plat, options, n * n);
+  const std::vector<int> everyone{0, 1, 2, 3};
   std::size_t blocks = 0;
   std::size_t updates = 0;
-  std::size_t pool_allocations = 0;
-  std::size_t pool_acquires = 0;
-  for (auto _ : state) {
-    auto scheduler = sched::make_oddoml(plat, part);
-    runtime::ExecutorOptions options;
-    options.verify = false;
-    const runtime::ExecutorReport report =
-        runtime::execute_online(scheduler, plat, part, a, b, c, options);
-    blocks += static_cast<std::size_t>(report.result.comm_blocks);
-    updates += report.updates_performed;
-    pool_allocations = report.buffer_pool.allocations;  // last run's counts
-    pool_acquires = report.buffer_pool.acquires;
-    benchmark::DoNotOptimize(report.wall_seconds);
-  }
-  state.counters["blocks/s"] = benchmark::Counter(
-      static_cast<double>(blocks), benchmark::Counter::kIsRate);
-  state.counters["updates/s"] = benchmark::Counter(
-      static_cast<double>(updates), benchmark::Counter::kIsRate);
-  state.counters["pool_allocs"] = static_cast<double>(pool_allocations);
-  state.counters["pool_acquires"] = static_cast<double>(pool_acquires);
-}
-BENCHMARK(BM_OnlineRuntime)
-    ->Arg(160)
-    ->Arg(320)
-    ->Arg(640)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_OnlineRuntimeProcess(benchmark::State& state) {
-  // The same end-to-end online run over the PROCESS transport: one
-  // forked worker process per worker, every message serialized into
-  // length-prefixed frames over a socketpair. Blocks/sec against
-  // BM_OnlineRuntime is the price of address-space isolation, and the
-  // serde counters break it down: bytes moved across the sockets per
-  // second and the master-side seconds spent encoding/decoding frames
-  // per run (serde_ms), next to the pool counters the thread transport
-  // reports.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto plat = platform::Platform::homogeneous(4, 0.01, 0.002, 40);
-  const matrix::Partition part(n, n, n, 16);
-  util::Rng rng(5);
-  const auto a = matrix::Matrix::random(n, n, rng);
-  const auto b = matrix::Matrix::random(n, n, rng);
-  matrix::Matrix c(n, n, 0.0);
-  std::size_t blocks = 0;
-  std::size_t updates = 0;
-  std::size_t wire_bytes = 0;
-  double serde_seconds = 0.0;
   std::size_t runs = 0;
-  for (auto _ : state) {
-    auto scheduler = sched::make_oddoml(plat, part);
-    runtime::ExecutorOptions options;
-    options.transport = runtime::TransportKind::kProcess;
-    options.verify = false;
-    const runtime::ExecutorReport report =
-        runtime::execute_online(scheduler, plat, part, a, b, c, options);
-    blocks += static_cast<std::size_t>(report.result.comm_blocks);
-    updates += report.updates_performed;
-    wire_bytes += report.transport_stats.bytes_sent +
-                  report.transport_stats.bytes_received;
-    serde_seconds += report.transport_stats.serde_seconds;
-    ++runs;
-    benchmark::DoNotOptimize(report.wall_seconds);
-  }
-  state.counters["blocks/s"] = benchmark::Counter(
-      static_cast<double>(blocks), benchmark::Counter::kIsRate);
-  state.counters["updates/s"] = benchmark::Counter(
-      static_cast<double>(updates), benchmark::Counter::kIsRate);
-  state.counters["wire_MB/s"] = benchmark::Counter(
-      static_cast<double>(wire_bytes) / (1024.0 * 1024.0),
-      benchmark::Counter::kIsRate);
-  state.counters["serde_ms"] =
-      runs > 0 ? serde_seconds * 1e3 / static_cast<double>(runs) : 0.0;
-}
-BENCHMARK(BM_OnlineRuntimeProcess)
-    ->Arg(160)
-    ->Arg(320)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_OnlineRuntimeShm(benchmark::State& state) {
-  // The same end-to-end online run over the zero-copy SHM transport:
-  // forked worker processes sharing a pre-fork payload arena, with only
-  // (slot, length) descriptors crossing the sockets. Blocks/sec against
-  // BM_OnlineRuntime (thread) and BM_OnlineRuntimeProcess quantifies
-  // what the arena buys back of the process transport's serialization
-  // tax; zero_copy_MB/s is the payload volume that moved WITHOUT being
-  // copied, wire_MB/s the descriptor traffic that replaced it, and the
-  // arena counters expose slot occupancy (arena_leaked must stay 0).
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto plat = platform::Platform::homogeneous(4, 0.01, 0.002, 40);
-  const matrix::Partition part(n, n, n, 16);
-  util::Rng rng(5);
-  const auto a = matrix::Matrix::random(n, n, rng);
-  const auto b = matrix::Matrix::random(n, n, rng);
-  matrix::Matrix c(n, n, 0.0);
-  std::size_t blocks = 0;
-  std::size_t updates = 0;
-  std::size_t wire_bytes = 0;
-  std::size_t zero_copy_bytes = 0;
+  runtime::BufferPool::Stats pool;
+  runtime::TransportStats data;
   std::size_t arena_peak = 0;
-  std::size_t arena_leaked = 0;
-  double serde_seconds = 0.0;
-  std::size_t runs = 0;
   for (auto _ : state) {
     auto scheduler = sched::make_oddoml(plat, part);
-    runtime::ExecutorOptions options;
-    options.transport = runtime::TransportKind::kShm;
-    options.verify = false;
     const runtime::ExecutorReport report =
-        runtime::execute_online(scheduler, plat, part, a, b, c, options);
+        warm ? runtime::execute_on_fleet(scheduler, *fleet, part, a, b, c,
+                                         everyone, runtime::LeaseHooks{})
+             : runtime::execute_online(scheduler, plat, part, a, b, c,
+                                       options);
     blocks += static_cast<std::size_t>(report.result.comm_blocks);
     updates += report.updates_performed;
-    wire_bytes += report.transport_stats.bytes_sent +
-                  report.transport_stats.bytes_received;
-    zero_copy_bytes += report.transport_stats.bytes_zero_copied;
+    pool = report.buffer_pool_delta;
+    data += report.transport_stats;
     arena_peak =
         std::max(arena_peak, report.transport_stats.arena_peak_slots);
-    arena_leaked += report.transport_stats.arena_leaked_slots;
-    serde_seconds += report.transport_stats.serde_seconds;
     ++runs;
     benchmark::DoNotOptimize(report.wall_seconds);
   }
-  state.counters["blocks/s"] = benchmark::Counter(
-      static_cast<double>(blocks), benchmark::Counter::kIsRate);
-  state.counters["updates/s"] = benchmark::Counter(
-      static_cast<double>(updates), benchmark::Counter::kIsRate);
-  state.counters["wire_MB/s"] = benchmark::Counter(
-      static_cast<double>(wire_bytes) / (1024.0 * 1024.0),
-      benchmark::Counter::kIsRate);
-  state.counters["zero_copy_MB/s"] = benchmark::Counter(
-      static_cast<double>(zero_copy_bytes) / (1024.0 * 1024.0),
-      benchmark::Counter::kIsRate);
+  if (warm) {
+    fleet->shutdown();
+    data = fleet->transport_stats();
+    arena_peak = data.arena_peak_slots;
+  }
+  const auto rate = [](double count) {
+    return benchmark::Counter(count, benchmark::Counter::kIsRate);
+  };
+  constexpr double kMiB = 1024.0 * 1024.0;
+  state.counters["blocks/s"] = rate(static_cast<double>(blocks));
+  state.counters["updates/s"] = rate(static_cast<double>(updates));
+  state.counters["pool_allocs"] = static_cast<double>(pool.allocations);
+  state.counters["pool_acquires"] = static_cast<double>(pool.acquires);
+  state.counters["wire_MB/s"] = rate(
+      static_cast<double>(data.bytes_sent + data.bytes_received) / kMiB);
+  state.counters["zero_copy_MB/s"] =
+      rate(static_cast<double>(data.bytes_zero_copied) / kMiB);
   state.counters["serde_ms"] =
-      runs > 0 ? serde_seconds * 1e3 / static_cast<double>(runs) : 0.0;
+      runs > 0 ? data.serde_seconds * 1e3 / static_cast<double>(runs) : 0.0;
   state.counters["arena_peak"] = static_cast<double>(arena_peak);
-  state.counters["arena_leaked"] = static_cast<double>(arena_leaked);
+  state.counters["arena_leaked"] =
+      static_cast<double>(data.arena_leaked_slots);
 }
-BENCHMARK(BM_OnlineRuntimeShm)
-    ->Arg(160)
-    ->Arg(320)
-    ->Arg(640)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
-void BM_OnlineRuntimeTcp(benchmark::State& state) {
-  // The same end-to-end online run over the loopback-TCP transport:
-  // forked workers DIAL the master's listen socket, speak the versioned
-  // handshake, and every frame crosses a real TCP stream. Blocks/sec
-  // against BM_OnlineRuntimeProcess is the price of a dialed TCP stream
-  // over a socketpair carrying the same frames.
-  const auto n = static_cast<std::size_t>(state.range(0));
+/// What a standalone run pays around its product: spawn a four-worker
+/// fleet sized for the n = 160 rows, and shut it down.
+void BM_FleetSpawn(benchmark::State& state,
+                   runtime::TransportKind transport) {
   const auto plat = platform::Platform::homogeneous(4, 0.01, 0.002, 40);
-  const matrix::Partition part(n, n, n, 16);
-  util::Rng rng(5);
-  const auto a = matrix::Matrix::random(n, n, rng);
-  const auto b = matrix::Matrix::random(n, n, rng);
-  matrix::Matrix c(n, n, 0.0);
-  std::size_t blocks = 0;
-  std::size_t updates = 0;
-  std::size_t wire_bytes = 0;
-  double serde_seconds = 0.0;
-  std::size_t runs = 0;
+  runtime::ExecutorOptions options;
+  options.transport = transport;
   for (auto _ : state) {
-    auto scheduler = sched::make_oddoml(plat, part);
-    runtime::ExecutorOptions options;
-    options.transport = runtime::TransportKind::kTcp;
-    options.verify = false;
-    const runtime::ExecutorReport report =
-        runtime::execute_online(scheduler, plat, part, a, b, c, options);
-    blocks += static_cast<std::size_t>(report.result.comm_blocks);
-    updates += report.updates_performed;
-    wire_bytes += report.transport_stats.bytes_sent +
-                  report.transport_stats.bytes_received;
-    serde_seconds += report.transport_stats.serde_seconds;
-    ++runs;
-    benchmark::DoNotOptimize(report.wall_seconds);
+    runtime::Fleet fleet(plat, options, 160 * 160);
+    fleet.shutdown();
   }
-  state.counters["blocks/s"] = benchmark::Counter(
-      static_cast<double>(blocks), benchmark::Counter::kIsRate);
-  state.counters["updates/s"] = benchmark::Counter(
-      static_cast<double>(updates), benchmark::Counter::kIsRate);
-  state.counters["wire_MB/s"] = benchmark::Counter(
-      static_cast<double>(wire_bytes) / (1024.0 * 1024.0),
-      benchmark::Counter::kIsRate);
-  state.counters["serde_ms"] =
-      runs > 0 ? serde_seconds * 1e3 / static_cast<double>(runs) : 0.0;
 }
-BENCHMARK(BM_OnlineRuntimeTcp)
-    ->Arg(160)
-    ->Arg(320)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+
+const bool kOnlineRowsRegistered = [] {
+  using runtime::TransportKind;
+  const auto online = [](const std::string& name, TransportKind transport,
+                         bool warm) {
+    return benchmark::RegisterBenchmark(
+               name.c_str(),
+               [transport, warm](benchmark::State& state) {
+                 BM_Online(state, transport, warm);
+               })
+        ->Unit(benchmark::kMillisecond)
+        ->UseRealTime();
+  };
+  // The standalone rows, under the names earlier baselines use.
+  online("BM_OnlineRuntime", TransportKind::kThread, false)
+      ->Arg(160)->Arg(320)->Arg(640);
+  online("BM_OnlineRuntimeProcess", TransportKind::kProcess, false)
+      ->Arg(160)->Arg(320);
+  online("BM_OnlineRuntimeShm", TransportKind::kShm, false)
+      ->Arg(160)->Arg(320)->Arg(640);
+  online("BM_OnlineRuntimeTcp", TransportKind::kTcp, false)
+      ->Arg(160)->Arg(320);
+  for (const TransportKind transport :
+       {TransportKind::kThread, TransportKind::kProcess, TransportKind::kShm,
+        TransportKind::kTcp}) {
+    const std::string name = runtime::transport_kind_name(transport);
+    benchmark::RegisterBenchmark(("BM_FleetSpawn/" + name).c_str(),
+                                 [transport](benchmark::State& state) {
+                                   BM_FleetSpawn(state, transport);
+                                 })
+        ->Unit(benchmark::kMillisecond)
+        ->UseRealTime();
+    online("BM_OnlineRuntimeWarm/" + name, transport, true)->Arg(160);
+  }
+  return true;
+}();
 
 void BM_OnlineRuntimeFaulty(benchmark::State& state) {
   // The unreliable-platform path: one of four workers is killed partway

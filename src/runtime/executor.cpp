@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <exception>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -129,9 +130,11 @@ model::Time blocked_offset(const platform::Platform& platform,
   return 1.0 + 2.0 * blocks * c + updates * (2.0 * c + w);
 }
 
-/// The event-driven master: implements ExecutionView over real workers
-/// behind the data-plane Transport (threads or forked processes -- the
-/// master never knows which). Scheduler-visible bookkeeping (port
+/// The event-driven master of one job on a Fleet: implements
+/// ExecutionView over the workers the job leases, behind the fleet's
+/// data-plane Transport (threads or forked processes -- the master
+/// never knows which). A standalone run is a one-job fleet that leases
+/// every worker (execute_online). Scheduler-visible bookkeeping (port
 /// clock, WorkerProgress, coverage) lives in a model mirror -- a
 /// sim::Engine over the same instance that executes every decision the
 /// master really performs -- while readiness is overridden with the
@@ -148,34 +151,11 @@ model::Time blocked_offset(const platform::Platform& platform,
 /// like a decision blocks the simulated port.
 class OnlineExecutor final : public sim::ExecutionView {
  public:
-  OnlineExecutor(const platform::Platform& platform,
-                 const matrix::Partition& partition, const matrix::Matrix& a,
-                 const matrix::Matrix& b, matrix::Matrix& c,
-                 const ExecutorOptions& options)
-      : mirror_(sim::InstanceContext::make(platform, partition),
-                options.record_trace),
-        a_(a),
-        b_(b),
-        c_(c),
-        options_(options),
-        worker_count_(static_cast<std::size_t>(platform.size())),
-        blocked_offset_(blocked_offset(platform, partition)),
-        views_(worker_count_),
-        pending_(worker_count_),
-        updates_per_worker_(worker_count_, 0),
-        own_speed_(worker_count_),
-        failure_handled_(worker_count_, 0) {
-    pool_ = &own_pool_;
-    wall_speed_ = &own_speed_;
-  }
-
-  /// Fleet mode: the same master loop, re-seated over a long-lived
-  /// fleet's transport, pool and calibration vector. The mirror spans
-  /// the FULL fleet platform; every worker outside `initial_lease`
-  /// starts marked failed (the FT-* scheduler schedules around it) and
-  /// its endpoint is NEVER touched -- another job may be driving it
-  /// concurrently. Grants arriving through `hooks` hot-join through the
-  /// same revive path a re-admitted TCP worker uses.
+  /// The mirror spans the FULL fleet platform; every worker outside
+  /// `initial_lease` starts marked failed (an FT-* scheduler schedules
+  /// around it) and its endpoint is NEVER touched -- another job may be
+  /// driving it concurrently. Grants arriving through `hooks` hot-join
+  /// idle.
   OnlineExecutor(Fleet& fleet, const matrix::Partition& partition,
                  const matrix::Matrix& a, const matrix::Matrix& b,
                  matrix::Matrix& c, const FleetJobOptions& job,
@@ -186,40 +166,30 @@ class OnlineExecutor final : public sim::ExecutionView {
         a_(a),
         b_(b),
         c_(c),
+        fleet_(fleet),
+        transport_(fleet.transport()),
+        pool_(fleet.pool()),
+        speeds_(fleet.speeds()),
+        hooks_(hooks),
         options_(fleet.options()),
         worker_count_(static_cast<std::size_t>(fleet.size())),
         blocked_offset_(blocked_offset(fleet.platform(), partition)),
         views_(worker_count_),
         pending_(worker_count_),
         updates_per_worker_(worker_count_, 0),
-        failure_handled_(worker_count_, 0),
-        fleet_(&fleet),
-        hooks_(&hooks),
-        leased_(worker_count_, 0),
-        ever_leased_(worker_count_, 0) {
+        hold_(worker_count_, Hold::kNever) {
     options_.verify = job.verify;
     options_.tolerance = job.tolerance;
     options_.record_trace = job.record_trace;
-    pool_ = &fleet.pool();
-    wall_speed_ = &fleet.speeds();
-    transport_ = &fleet.transport();
     for (const int w : initial_lease) {
       HMXP_REQUIRE(w >= 0 && static_cast<std::size_t>(w) < worker_count_,
                    "lease index out of range");
       HMXP_REQUIRE(fleet.alive(w), "cannot lease a dead worker");
-      leased_[static_cast<std::size_t>(w)] = 1;
-      ever_leased_[static_cast<std::size_t>(w)] = 1;
+      hold_[static_cast<std::size_t>(w)] = Hold::kHeld;
     }
-    for (std::size_t w = 0; w < worker_count_; ++w) {
-      if (leased_[w]) continue;
-      // Foreign (or initially unleased) worker: dead on this job's
-      // mirror, endpoint untouched. NOT counted in workers_failed_.
-      failure_handled_[w] = 1;
-      mirror_.fail_worker(static_cast<int>(w));
-    }
+    for (std::size_t w = 0; w < worker_count_; ++w)
+      if (hold_[w] != Hold::kHeld) mirror_.fail_worker(static_cast<int>(w));
   }
-
-  ~OnlineExecutor() override { shutdown(); }
 
   // ----- ExecutionView: the state the live scheduler decides from -----
   model::Time now() const override { return mirror_.now(); }
@@ -251,8 +221,8 @@ class OnlineExecutor final : public sim::ExecutionView {
       return pending_[static_cast<std::size_t>(worker)].has_value()
                  ? mirror_.now()
                  : start + 2.0 * blocked_offset_;
-    return transport_->endpoint(worker).can_send() ? start
-                                                   : start + blocked_offset_;
+    return transport_.endpoint(worker).can_send() ? start
+                                                  : start + blocked_offset_;
   }
   model::Time comm_duration(int worker, sim::CommKind kind) const override {
     return mirror_.comm_duration(worker, kind);
@@ -272,41 +242,38 @@ class OnlineExecutor final : public sim::ExecutionView {
     return mirror_.rect_assigned(rect);
   }
 
-  /// Marks the worker failed and reclaims everything it held: the
-  /// mirror returns its in-flight chunk to the pending set, queued
-  /// messages hand their payload buffers back to the pool, and a
+  /// Marks a worker this job holds failed and reclaims everything it
+  /// held: the mirror returns its in-flight chunk to the pending set,
+  /// queued messages hand their payload buffers back to the pool, and a
   /// still-running worker is decommissioned through its endpoint (the
-  /// exit error that may cause is expected and never rethrown).
-  /// Idempotent; also the master's internal path when it detects a dead
-  /// worker.
+  /// exit error that may cause is expected and never rethrown). The
+  /// lease ends with it: the fleet marks the worker dead and the lease
+  /// manager stops offering it. Idempotent, and a no-op on a worker the
+  /// job does not hold; also the master's internal path when it detects
+  /// a dead worker.
   void fail_worker(int worker) override {
     const auto w = static_cast<std::size_t>(worker);
     HMXP_REQUIRE(worker >= 0 && w < worker_count_,
                  "worker index out of range");
-    if (failure_handled_[w]) return;
-    failure_handled_[w] = 1;
+    if (hold_[w] != Hold::kHeld) return;
+    hold_[w] = Hold::kDead;
     ++workers_failed_;
-    Endpoint& endpoint = transport_->endpoint(worker);
+    Endpoint& endpoint = transport_.endpoint(worker);
     if (!endpoint.failed()) endpoint.kill();
     // The pending result FIRST: its payload may be an arena slot the
     // dead worker handed over, and drain()'s crash reclamation below
     // frees every slot still tagged with the worker -- releasing after
     // would double-free a slot another worker may already hold.
     if (pending_[w].has_value()) {
-      pending_[w]->c.release_to(*pool_);
+      pending_[w]->c.release_to(pool_);
       pending_[w].reset();
     }
-    endpoint.drain(*pool_);
+    endpoint.drain(pool_);
     views_[w].plan.reset();
     mirror_.fail_worker(worker);
-    if (fleet_ != nullptr && leased_[w]) {
-      // A real death, not a lease release: the fleet permanently loses
-      // the worker and the lease manager must stop offering it.
-      leased_[w] = 0;
-      publish_drift(w);
-      fleet_->mark_dead(worker);
-      if (hooks_->worker_dead) hooks_->worker_dead(worker);
-    }
+    publish_drift(w);
+    fleet_.mark_dead(worker);
+    if (hooks_.worker_dead) hooks_.worker_dead(worker);
   }
 
   /// Static w_i scaled by the worker's observed wall-clock drift: the
@@ -321,8 +288,8 @@ class OnlineExecutor final : public sim::ExecutionView {
   /// drift: the job holding it may be updating its estimate right now.
   double observed_drift(int worker) const override {
     const auto w = static_cast<std::size_t>(worker);
-    if (fleet_ != nullptr && !leased_[w]) return fleet_->drift(worker);
-    return (*wall_speed_)[w].drift();
+    if (hold_[w] != Hold::kHeld) return fleet_.drift(worker);
+    return speeds_[w].drift();
   }
 
   // ----- the master loop -----
@@ -331,27 +298,7 @@ class OnlineExecutor final : public sim::ExecutionView {
     run_begin_ = Clock::now();
     matrix::Matrix reference;
     if (options_.verify) reference = c_;  // C_initial; product added at end
-
-    // Inbox capacity: the chunk message plus (prefetch + 1) operand
-    // slots for the deepest layout (double buffering, depth 1). The
-    // bound makes a master that overruns a worker's buffers block for
-    // real; per-chunk depths below the bound are enforced in model time
-    // by the mirror's SendAB timing. A fleet job skips all of this: the
-    // fleet's transport (and its workers) already exist.
-    if (fleet_ == nullptr) {
-      // Forked workers never see the master's matrices (lent windows
-      // are encoded or packed in the master), so keep those pages out
-      // of the forks entirely -- see ForkVisibilityGuard.
-      const ForkVisibilityGuard fork_guard(
-          options_.transport != TransportKind::kThread, a_, b_, c_);
-      owned_transport_ = make_transport(options_.transport,
-                                        static_cast<int>(worker_count_),
-                                        /*inbox_capacity=*/3, options_,
-                                        run_begin_, pool_,
-                                        max_payload_doubles(partition()));
-      transport_ = owned_transport_.get();
-    }
-    pool_begin_ = pool_->stats();
+    pool_begin_ = pool_.stats();
     const std::size_t max_decisions =
         sim::decision_budget(mirror_.partition());
     std::size_t executed = 0;
@@ -382,9 +329,9 @@ class OnlineExecutor final : public sim::ExecutionView {
           } catch (...) {
             const auto w = static_cast<std::size_t>(decision.worker);
             if (decision.worker >= 0 && w < worker_count_ &&
-                transport_->endpoint(decision.worker).failed() &&
-                !transport_->endpoint(decision.worker).killed() &&
-                !failure_handled_[w]) {
+                hold_[w] == Hold::kHeld &&
+                transport_.endpoint(decision.worker).failed() &&
+                !transport_.endpoint(decision.worker).killed()) {
               mirror_.restore(rollback_state_);
               fail_worker(decision.worker);
               continue;  // the decision never happened
@@ -412,30 +359,23 @@ class OnlineExecutor final : public sim::ExecutionView {
                    "scheduler exceeded decision budget (livelock?)");
       }
     } catch (...) {
-      if (fleet_ != nullptr) {
-        // The job failed mid-flight. A still-leased worker may be
-        // mid-chunk -- its endpoint protocol state is not at a message
-        // boundary, so handing it to another job would corrupt that
-        // job's stream. Kill what we hold; the fleet shrinks.
-        for (std::size_t w = 0; w < worker_count_; ++w) {
-          if (!leased_[w]) continue;
-          try {
-            fail_worker(static_cast<int>(w));
-          } catch (...) {  // best-effort teardown; original error wins
-          }
+      // The job failed mid-flight. A worker it still holds may be
+      // mid-chunk -- its endpoint is not at a message boundary, so
+      // handing it to another job would corrupt that job's stream -- or
+      // may still read a window this job lent. Kill what we hold; the
+      // fleet shrinks, and the loan wait ends once the killed workers
+      // let go. The root cause is read before the kills.
+      const std::exception_ptr cause = worker_error();
+      for (std::size_t w = 0; w < worker_count_; ++w) {
+        try {
+          fail_worker(static_cast<int>(w));
+        } catch (...) {  // best-effort teardown; original error wins
         }
-        throw;
       }
-      shutdown();
-      rethrow_worker_error();  // a dead worker is the root cause
+      if (cause) std::rethrow_exception(cause);
       throw;
     }
-    if (fleet_ == nullptr) {
-      shutdown();
-      rethrow_worker_error();
-    } else {
-      release_remaining_leases();
-    }
+    release_remaining_leases();
 
     ExecutorReport report;
     report.chunks_processed = chunks_processed_;
@@ -444,26 +384,24 @@ class OnlineExecutor final : public sim::ExecutionView {
       report.updates_performed += updates;
     report.workers_failed = workers_failed_;
     report.workers_rejoined = workers_rejoined_;
-    // Every lease has ended, so in fleet mode this reads the drift each
-    // worker's last job published, never an estimate another job may
-    // be updating.
+    // Every lease has ended, so this reads the drift each worker's last
+    // job published, never an estimate another job may be updating.
     for (std::size_t w = 0; w < worker_count_; ++w)
       report.observed_drift.push_back(observed_drift(static_cast<int>(w)));
     report.result =
         sim::collect_result(scheduler.name(), mirror_, executed);
-    report.buffer_pool = pool_->stats();
+    // The mirror marks failed every worker the job does not hold; only
+    // the ones that died under it, and did not come back, were lost.
+    report.result.workers_failed =
+        static_cast<int>(std::count(hold_.begin(), hold_.end(), Hold::kDead));
+    report.buffer_pool = pool_.stats();
     report.buffer_pool_delta = pool_begin_.delta_to(report.buffer_pool);
     report.speculation = spec_stats_;
     report.speculation.wasted_updates =
         static_cast<std::size_t>(mirror_.snapshot().wasted_updates);
-    report.transport = transport_->name();
-    if (fleet_ == nullptr) {
-      // Fleet endpoints keep streaming for OTHER jobs while this report
-      // is assembled -- reading the shared counters here would race.
-      // Fleet-wide stats are read between jobs via Fleet::transport_stats.
-      report.transport_stats = transport_->stats();
-    }
-    for (const char used : ever_leased_) report.fleet_workers_used += used;
+    report.transport = transport_.name();
+    for (const Hold hold : hold_)
+      report.fleet_workers_used += hold != Hold::kNever;
     report.kernel_variant = matrix::packed_kernel_variant();
     // Mirrors the hello handshake: a tuned blocking only when the
     // packed tier actually ran; zeros document "no blocking consumed".
@@ -486,6 +424,16 @@ class OnlineExecutor final : public sim::ExecutionView {
   }
 
  private:
+  /// Where a fleet worker stands with this job. Only a held worker's
+  /// endpoint is the job's to touch; every other worker is dead on the
+  /// job's mirror.
+  enum class Hold : char {
+    kNever,     // not granted to this job (yet)
+    kHeld,      // leased to this job right now
+    kReleased,  // handed back to the lease manager, idle
+    kDead,      // died while this job held it
+  };
+
   /// Master replica of each worker's data-plane state: which plan it
   /// holds, its element window in C, and how many steps went out.
   struct MasterView {
@@ -520,16 +468,16 @@ class OnlineExecutor final : public sim::ExecutionView {
       drain_completions();
       awaits_.clear();
       for (std::size_t w = 0; w < worker_count_; ++w) {
-        if (failure_handled_[w]) continue;  // dead, or not this job's
+        if (hold_[w] != Hold::kHeld) continue;
         const int worker = static_cast<int>(w);
         const bool result = mirror_.progress(worker).all_steps_received();
         if (result ? pending_[w].has_value()
-                   : transport_->endpoint(worker).can_send())
+                   : transport_.endpoint(worker).can_send())
           return;
         awaits_.push_back(Await{worker, result});
       }
       if (awaits_.empty()) return;  // nothing to wait on: decide
-      transport_->wait_any(awaits_, kWaitSlice);
+      transport_.wait_any(awaits_, kWaitSlice);
     }
   }
 
@@ -540,27 +488,12 @@ class OnlineExecutor final : public sim::ExecutionView {
   /// between steps surfaces here, not whenever the master next happens
   /// to touch its endpoint (which could be never).
   void drain_completions() {
-    if (fleet_ != nullptr) fleet_lease_sweep();
+    lease_sweep();
     for (std::size_t w = 0; w < worker_count_; ++w) {
       // NEVER touch an endpoint this job does not hold: another job's
       // master loop may be mid-protocol on it right now.
-      if (fleet_ != nullptr && !leased_[w]) continue;
-      Endpoint& endpoint = transport_->endpoint(static_cast<int>(w));
-      if (failure_handled_[w]) {
-        // A handled failure is the safe point to offer re-admission:
-        // the mirror rolled back, the in-flight chunk returned to the
-        // pending set, the endpoint drained. A TCP worker that
-        // reconnected with its identity token rejoins HERE, idle -- the
-        // scheduler simply sees it alive again and an FT-* policy hands
-        // it orphans or fresh territory (hot-join, the dual of PR-4's
-        // failure handling).
-        if (options_.tolerate_faults && endpoint.try_readmit()) {
-          failure_handled_[w] = 0;
-          ++workers_rejoined_;
-          mirror_.revive_worker(static_cast<int>(w));
-        }
-        continue;
-      }
+      if (hold_[w] != Hold::kHeld) continue;
+      Endpoint& endpoint = transport_.endpoint(static_cast<int>(w));
       if (endpoint.failed()) {
         if (!options_.tolerate_faults)
           throw std::runtime_error("worker failed");
@@ -571,24 +504,29 @@ class OnlineExecutor final : public sim::ExecutionView {
         while ((pending_[w] = endpoint.try_recv()).has_value()) {
           observe_result(w, *pending_[w]);
           if (!stale_result(w, *pending_[w])) break;
-          pending_[w]->c.release_to(*pool_);
+          pending_[w]->c.release_to(pool_);
           pending_[w].reset();
           ++spec_stats_.stale_results;
         }
         // try_recv is also the failure pump (a dead process surfaces as
         // an EOF while reading): re-check so the death is handled THIS
         // sweep, not a decision later.
-        if (endpoint.failed() && !failure_handled_[w]) {
+        if (endpoint.failed()) {
           if (!options_.tolerate_faults)
             throw std::runtime_error("worker failed");
           fail_worker(static_cast<int>(w));
         }
       }
     }
-    if (fleet_ != nullptr) fleet_starvation_guard();
+    starvation_guard();
   }
 
-  // ----- fleet-mode lease plumbing -----
+  // ----- lease plumbing -----
+
+  int held() const {
+    return static_cast<int>(std::count(hold_.begin(), hold_.end(),
+                                       Hold::kHeld));
+  }
 
   /// A worker with no resident chunk, no undrained result and no plan:
   /// its endpoint is at a message boundary, so the lease can change
@@ -598,65 +536,59 @@ class OnlineExecutor final : public sim::ExecutionView {
            !mirror_.progress(static_cast<int>(w)).has_chunk;
   }
 
+  /// Hot-join: a granted worker is alive and idle on the mirror, and
+  /// the FT-* scheduler hands it orphans or fresh territory on its next
+  /// decision. A grant of a worker that died under this job is a
+  /// rejoin: it came back (Fleet::readmit).
   void apply_grants(const std::vector<int>& grants) {
     for (const int g : grants) {
       const auto w = static_cast<std::size_t>(g);
       HMXP_REQUIRE(g >= 0 && w < worker_count_, "grant index out of range");
-      if (leased_[w]) continue;
-      leased_[w] = 1;
-      ever_leased_[w] = 1;
-      failure_handled_[w] = 0;
-      // Hot-join: identical to a re-admitted TCP worker -- alive and
-      // idle on the mirror, and the FT-* scheduler hands it orphans or
-      // fresh territory on its next decision.
+      if (hold_[w] == Hold::kHeld) continue;
+      if (hold_[w] == Hold::kDead) ++workers_rejoined_;
+      hold_[w] = Hold::kHeld;
       mirror_.revive_worker(g);
     }
   }
 
   void release_lease(std::size_t w) {
-    leased_[w] = 0;
-    failure_handled_[w] = 1;  // back to "not ours": skip its endpoint
+    hold_[w] = Hold::kReleased;  // its endpoint is not ours any more
     views_[w].plan.reset();
     mirror_.fail_worker(static_cast<int>(w));
     publish_drift(w);  // before the next job may touch the estimate
-    if (hooks_->release) hooks_->release(static_cast<int>(w));
+    if (hooks_.release) hooks_.release(static_cast<int>(w));
   }
 
   /// Chunk-boundary rebalancing, run before every scheduling decision:
-  /// pick up any workers the lease manager granted us, then shed idle
-  /// workers we no longer need -- either because all blocks are
-  /// assigned (tail drain: a finished worker immediately starts the
-  /// NEXT job's prologue, the pipelined epilogue/prologue overlap) or
-  /// because we hold more than our fair share. If every leased worker
-  /// is gone while work remains, block on the lease manager rather
-  /// than let the FT scheduler conclude the run is unrecoverable.
-  void fleet_lease_sweep() {
-    if (hooks_->poll_grants) apply_grants(hooks_->poll_grants());
+  /// pick up any workers granted since the last sweep, then -- if
+  /// anyone takes workers back -- shed idle workers we no longer need,
+  /// either because all blocks are assigned (tail drain: a finished
+  /// worker immediately starts the NEXT job's prologue, the pipelined
+  /// epilogue/prologue overlap) or because we hold more than our fair
+  /// share.
+  void lease_sweep() {
+    if (hooks_.poll_grants) apply_grants(hooks_.poll_grants());
+    if (!hooks_.release) return;  // nobody takes a worker back: keep all
     const bool tail = mirror_.unassigned_blocks() == 0;
-    int held = 0;
-    for (const char lease : leased_) held += lease;
+    int holding = held();
     const int target =
-        hooks_->target ? std::max(1, hooks_->target()) : held;
-    for (std::size_t w = 0; w < worker_count_ && held > 0; ++w) {
-      if (!leased_[w] || !worker_idle(w)) continue;
-      if (!tail && held <= target) break;  // keep our fair share busy
+        hooks_.target ? std::max(1, hooks_.target()) : holding;
+    for (std::size_t w = 0; w < worker_count_ && holding > 0; ++w) {
+      if (hold_[w] != Hold::kHeld || !worker_idle(w)) continue;
+      if (!tail && holding <= target) break;  // keep our fair share busy
       release_lease(w);
-      --held;
+      --holding;
     }
   }
 
   /// Runs after the endpoint sweep (which is where deaths surface): if
-  /// this job lost its last worker mid-run, block on the lease manager
-  /// for a replacement instead of letting the FT scheduler conclude
-  /// the run is unrecoverable.
-  void fleet_starvation_guard() {
-    while (!mirror_.all_work_done()) {
-      int held = 0;
-      for (const char lease : leased_) held += lease;
-      if (held > 0) return;
-      HMXP_CHECK(hooks_->wait_grant,
-                 "fleet job has no workers and no grant source");
-      const std::vector<int> grants = hooks_->wait_grant();
+  /// this job lost its last worker mid-run and a grant can come, block
+  /// on it rather than let the FT scheduler conclude the run is
+  /// unrecoverable. Without a grant source, the scheduler concludes.
+  void starvation_guard() {
+    if (!hooks_.wait_grant) return;
+    while (!mirror_.all_work_done() && held() == 0) {
+      const std::vector<int> grants = hooks_.wait_grant();
       if (grants.empty())
         throw std::runtime_error(
             "fleet job starved: no workers left to grant");
@@ -669,14 +601,29 @@ class OnlineExecutor final : public sim::ExecutionView {
     // last chunk): they are idle now -- every chunk was received -- so
     // hand them back cleanly.
     for (std::size_t w = 0; w < worker_count_; ++w)
-      if (leased_[w]) release_lease(w);
+      if (hold_[w] == Hold::kHeld) release_lease(w);
   }
 
   /// Publishes a worker's drift for lock-free readers (the admission
   /// controller, other jobs' reports) as this job's lease on it ends:
   /// the SpeedEstimate itself is only safe to read under the lease.
   void publish_drift(std::size_t w) {
-    fleet_->publish_drift(static_cast<int>(w), (*wall_speed_)[w].drift());
+    fleet_.publish_drift(static_cast<int>(w), speeds_[w].drift());
+  }
+
+  /// In strict mode a held worker that died on its own is the root
+  /// cause of any failure -- its error beats the master's own (a
+  /// refused send, a worker that closed before returning C). Under
+  /// fault tolerance deaths are survivable, so the master's error
+  /// stands; errors of workers the master killed are expected.
+  std::exception_ptr worker_error() {
+    if (options_.tolerate_faults) return nullptr;
+    for (std::size_t w = 0; w < worker_count_; ++w) {
+      if (hold_[w] != Hold::kHeld) continue;
+      const Endpoint& endpoint = transport_.endpoint(static_cast<int>(w));
+      if (endpoint.failed() && !endpoint.killed()) return endpoint.error();
+    }
+    return nullptr;
   }
 
   /// Folds a returned chunk into the master's bookkeeping: its measured
@@ -691,8 +638,7 @@ class OnlineExecutor final : public sim::ExecutionView {
           static_cast<double>(result.plan.steps[s].updates);
       const double seconds = result.step_seconds[s];
       if (updates <= 0 || seconds <= 0) continue;  // below clock resolution
-      (*wall_speed_)[w].observe(seconds / updates,
-                                options_.calibration.alpha);
+      speeds_[w].observe(seconds / updates, options_.calibration.alpha);
     }
     const std::size_t performed =
         std::min(result.updates_performed, result.plan.steps.size());
@@ -725,7 +671,7 @@ class OnlineExecutor final : public sim::ExecutionView {
   void execute_real(const sim::Decision& decision) {
     const auto w = static_cast<std::size_t>(decision.worker);
     MasterView& view = views_[w];
-    Endpoint& endpoint = transport_->endpoint(decision.worker);
+    Endpoint& endpoint = transport_.endpoint(decision.worker);
     const matrix::Partition& part = mirror_.partition();
     const std::size_t q = part.q();
 
@@ -773,7 +719,7 @@ class OnlineExecutor final : public sim::ExecutionView {
         // waiting on the port, as in the model).
         while (!result.has_value() || stale_result(w, *result)) {
           if (result.has_value()) {
-            result->c.release_to(*pool_);
+            result->c.release_to(pool_);
             ++spec_stats_.stale_results;
           }
           result = endpoint.recv();
@@ -794,7 +740,7 @@ class OnlineExecutor final : public sim::ExecutionView {
         matrix::copy_into(src, dst);
         // The chunk is folded in; recycle its storage for the next send
         // (pool vector or arena slot, per the transport).
-        result->c.release_to(*pool_);
+        result->c.release_to(pool_);
         ++chunks_processed_;
         view.plan.reset();
         break;
@@ -807,40 +753,13 @@ class OnlineExecutor final : public sim::ExecutionView {
         // or by the stale-seq filters on the receive paths.
         endpoint.send(CancelMessage{view.seq});
         if (pending_[w].has_value()) {
-          pending_[w]->c.release_to(*pool_);
+          pending_[w]->c.release_to(pool_);
           pending_[w].reset();
           ++spec_stats_.stale_results;
         }
         view.plan.reset();
         break;
       }
-    }
-  }
-
-  /// Stops and reclaims every worker through the transport (join
-  /// threads / reap child processes). Idempotent, safe on error paths.
-  /// A fleet job owns no transport, so this is a no-op for it -- the
-  /// fleet's workers live on to serve the next job.
-  void shutdown() noexcept {
-    if (owned_transport_ != nullptr) owned_transport_->shutdown();
-  }
-
-  /// After shutdown: if any worker failed, its error is the root cause
-  /// -- rethrow it (the master's own failure, e.g. a refused send, is
-  /// secondary). Errors of workers the master killed on purpose, or
-  /// whose failure was tolerated and recovered from, are expected and
-  /// stay buried.
-  void rethrow_worker_error() {
-    if (transport_ == nullptr) return;
-    // Fleet mode always tolerates faults: every death this job saw was
-    // handled (and reported through the lease hooks), and foreign
-    // endpoints are not this job's to inspect.
-    if (fleet_ != nullptr) return;
-    for (std::size_t w = 0; w < worker_count_; ++w) {
-      Endpoint& endpoint = transport_->endpoint(static_cast<int>(w));
-      if (!endpoint.error() || endpoint.killed()) continue;
-      if (options_.tolerate_faults && failure_handled_[w]) continue;
-      std::rethrow_exception(endpoint.error());
     }
   }
 
@@ -852,38 +771,29 @@ class OnlineExecutor final : public sim::ExecutionView {
   // Declared first, so destroyed last: the windows this run lent over
   // A, B and C. A thread worker a cancel or a kill left mid-step may
   // still read one after run() is done, and this count's destructor
-  // holds execute_online and execute_on_fleet until it is back -- the
-  // loan rule (payload.hpp) -- so the caller may free A, B and C the
-  // moment either returns or throws.
+  // holds execute_on_fleet (and so execute_online) until it is back --
+  // the loan rule (payload.hpp) -- so the caller may free A, B and C
+  // the moment either returns or throws.
   Loans loans_;
   sim::Engine mirror_;
   const matrix::Matrix& a_;
   const matrix::Matrix& b_;
   matrix::Matrix& c_;
-  // Owned-vs-borrowed pairs: a standalone run owns its pool, transport
-  // and calibration; a fleet job borrows all three from the fleet (the
-  // owned slots stay empty). Code paths always go through the pointers.
-  BufferPool own_pool_;  // shared with workers; outlives them (first)
+  Fleet& fleet_;
+  Transport& transport_;
+  BufferPool& pool_;
+  std::vector<platform::SpeedEstimate>& speeds_;
+  const LeaseHooks& hooks_;
   ExecutorOptions options_;
   std::size_t worker_count_;
   model::Time blocked_offset_;
-  std::unique_ptr<Transport> owned_transport_;
-  Transport* transport_ = nullptr;
-  BufferPool* pool_ = nullptr;
   std::vector<MasterView> views_;
   std::vector<std::optional<ResultMessage>> pending_;
   std::vector<std::size_t> updates_per_worker_;
-  std::vector<platform::SpeedEstimate> own_speed_;
-  std::vector<platform::SpeedEstimate>* wall_speed_ = nullptr;
-  std::vector<char> failure_handled_;  // fail_worker() already ran
-  std::vector<Await> awaits_;          // await_ready's reused wait set
-  sim::EngineState rollback_state_;    // reused pre-decision snapshot
+  std::vector<Hold> hold_;
+  std::vector<Await> awaits_;        // await_ready's reused wait set
+  sim::EngineState rollback_state_;  // reused pre-decision snapshot
   SpeculationStats spec_stats_;
-  // Fleet mode only (nullptr / empty otherwise).
-  Fleet* fleet_ = nullptr;
-  const LeaseHooks* hooks_ = nullptr;
-  std::vector<char> leased_;       // holds the lease right now
-  std::vector<char> ever_leased_;  // held it at some point this job
   BufferPool::Stats pool_begin_{};
   int workers_failed_ = 0;
   int workers_rejoined_ = 0;
@@ -892,21 +802,17 @@ class OnlineExecutor final : public sim::ExecutionView {
 };
 
 void check_shapes(const matrix::Partition& partition, const matrix::Matrix& a,
-                  const matrix::Matrix& b, const matrix::Matrix& c,
-                  const platform::Platform& platform,
-                  const ExecutorOptions& options) {
+                  const matrix::Matrix& b, const matrix::Matrix& c) {
   HMXP_REQUIRE(a.rows() == partition.n_a() && a.cols() == partition.n_ab(),
                "A shape does not match the partition");
   HMXP_REQUIRE(b.rows() == partition.n_ab() && b.cols() == partition.n_b(),
                "B shape does not match the partition");
   HMXP_REQUIRE(c.rows() == partition.n_a() && c.cols() == partition.n_b(),
                "C shape does not match the partition");
-  HMXP_REQUIRE(options.compute_slowdown.empty() ||
-                   options.compute_slowdown.size() ==
-                       static_cast<std::size_t>(platform.size()),
-               "slowdown vector must cover every worker");
-  for (const int slowdown : options.compute_slowdown)
-    HMXP_REQUIRE(slowdown >= 1, "slowdown factors must be >= 1");
+}
+
+double seconds_since(Clock::time_point begin) {
+  return std::chrono::duration<double>(Clock::now() - begin).count();
 }
 
 }  // namespace
@@ -917,9 +823,37 @@ ExecutorReport execute_online(sim::Scheduler& scheduler,
                               const matrix::Matrix& a, const matrix::Matrix& b,
                               matrix::Matrix& c, const ExecutorOptions& options,
                               std::vector<sim::Decision>* decision_log) {
-  check_shapes(partition, a, b, c, platform, options);
-  OnlineExecutor executor(platform, partition, a, b, c, options);
-  return executor.run(scheduler, decision_log);
+  check_shapes(partition, a, b, c);
+  const Clock::time_point begin = Clock::now();
+  Fleet fleet = [&] {
+    // Forked workers never see the master's matrices (lent windows are
+    // encoded or packed in the master), so keep those pages out of the
+    // forks entirely -- see ForkVisibilityGuard.
+    const ForkVisibilityGuard fork_guard(
+        options.transport != TransportKind::kThread, a, b, c);
+    return Fleet(platform, options, max_payload_doubles(partition));
+  }();
+  const double spawn_seconds = seconds_since(begin);
+
+  // The one job leases every worker and keeps it to the end (no
+  // release hook); a worker that reconnects rejoins through the grant
+  // poll, and a job that lost every worker lets its scheduler conclude
+  // (no wait_grant hook).
+  std::vector<int> everyone(static_cast<std::size_t>(fleet.size()));
+  std::iota(everyone.begin(), everyone.end(), 0);
+  LeaseHooks hooks;
+  hooks.poll_grants = [&fleet] { return fleet.readmit(); };
+  const FleetJobOptions job{options.verify, options.tolerance,
+                            options.record_trace};
+  ExecutorReport report = execute_on_fleet(scheduler, fleet, partition, a, b,
+                                           c, everyone, hooks, job,
+                                           decision_log);
+  const Clock::time_point stop = Clock::now();
+  fleet.shutdown();
+  // Read after shutdown: arena_leaked_slots counts what is still held.
+  report.transport_stats = fleet.transport_stats();
+  report.wall_seconds += spawn_seconds + seconds_since(stop);
+  return report;
 }
 
 ExecutorReport execute_on_fleet(sim::Scheduler& scheduler, Fleet& fleet,
@@ -930,7 +864,7 @@ ExecutorReport execute_on_fleet(sim::Scheduler& scheduler, Fleet& fleet,
                                 const LeaseHooks& hooks,
                                 const FleetJobOptions& job,
                                 std::vector<sim::Decision>* decision_log) {
-  check_shapes(partition, a, b, c, fleet.platform(), fleet.options());
+  check_shapes(partition, a, b, c);
   // The fleet's arena slots and frame ceilings were sized once at
   // spawn; a job that would ship a larger payload must be rejected at
   // admission, and is a hard error here.

@@ -27,14 +27,15 @@
 //    worker computes each update `slowdown` times -- and can change
 //    mid-run through a wall-clock SlowdownSchedule (the adaptive,
 //    time-varying-platform scenario);
-//  * a worker thread that throws is propagated: channels shut down, all
-//    threads are joined, and the worker's exception rethrows from the
-//    master (never std::terminate). With ExecutorOptions::
-//    tolerate_faults the master instead SURVIVES the loss: the dead
-//    worker's channels drain back into the buffer pool, the model
-//    mirror rolls back any decision the death interrupted, the worker
-//    is marked failed on the ExecutionView, and the live scheduler
-//    (an FT-* policy) re-assigns the lost chunk to the survivors.
+//  * a worker thread that throws is propagated: the master kills the
+//    other workers, every thread is joined, and the worker's exception
+//    rethrows from the master (never std::terminate). With
+//    ExecutorOptions::tolerate_faults the master instead SURVIVES the
+//    loss: the dead worker's channels drain back into the buffer pool,
+//    the model mirror rolls back any decision the death interrupted,
+//    the worker is marked failed on the ExecutionView, and the live
+//    scheduler (an FT-* policy) re-assigns the lost chunk to the
+//    survivors.
 //
 // The runtime targets correctness demonstration and online-scheduling
 // experiments, not makespan measurement (wall time on one shared machine
@@ -174,6 +175,10 @@ struct ExecutorReport {
   std::string transport;
   /// Data-plane counters: message counts on every transport, frame
   /// bytes and master-side serialization seconds on serializing ones.
+  /// Filled by execute_online, read after its fleet shut down. A job on
+  /// a shared fleet leaves them empty: other jobs keep streaming while
+  /// its report is assembled, so read Fleet::transport_stats between
+  /// jobs instead.
   TransportStats transport_stats;
   /// Compute-plane provenance: the micro-kernel variant ("avx512" /
   /// "avx2+fma" / "portable") and the blocking parameters the packed
@@ -182,22 +187,33 @@ struct ExecutorReport {
   /// dispatched a non-packed tier (naive/tiled consume no blocking).
   std::string kernel_variant;
   matrix::BlockingParams kernel_blocking;
-  /// Fleet-mode only: how many distinct workers ever held this job's
-  /// lease (0 on the classic own-transport paths).
+  /// How many distinct workers ever held this job's lease: the worker
+  /// count on a standalone run, which leases every worker.
   int fleet_workers_used = 0;
 };
 
 class Fleet;  // fleet.hpp; broken include cycle
 
-/// Lease coordination a fleet-mode master polls at every completion
-/// sweep. All callbacks are invoked from the job's master thread; the
-/// lease manager behind them (service/daemon.cpp) provides the mutual
+/// Lease coordination a job's master polls at every completion sweep.
+/// All callbacks are invoked from the job's master thread; the lease
+/// manager behind them (service/daemon.cpp) provides the mutual
 /// exclusion that makes worker hand-offs safe. Any callback may be
-/// empty: poll_grants/wait_grant default to "no grants ever", target to
-/// "keep everything", release/worker_dead to no-ops.
+/// empty, and an empty one means:
+///  * poll_grants: no worker is ever granted mid-run;
+///  * wait_grant: no grant can come, so a job that lost every worker
+///    lets its scheduler conclude (an FT-* policy then throws "fault
+///    tolerance exhausted");
+///  * target: keep every worker held;
+///  * release: nobody takes a worker back, so the job keeps every
+///    worker to the end -- no shedding and no tail drain, and an SP-*
+///    policy can still race the last chunk on an idle worker;
+///  * worker_dead: nobody needs telling.
+/// execute_online runs with poll_grants = Fleet::readmit and the rest
+/// empty.
 struct LeaseHooks {
   /// Drains workers granted to this job since the last poll (fleet
-  /// worker indices; each is idle and alive when granted).
+  /// worker indices; each is idle and alive when granted). A grant of a
+  /// worker that died under this job counts as a rejoin.
   std::function<std::vector<int>()> poll_grants;
   /// Blocks until at least one worker is granted. An EMPTY result means
   /// the grant can never come (daemon shutting down): the job fails.
@@ -206,7 +222,7 @@ struct LeaseHooks {
   /// This job's current fair-share worker target. When the job holds
   /// more than the target, it sheds idle workers at chunk boundaries
   /// (the lease rebalancing point: a worker is only ever handed back
-  /// between chunks, fully quiesced).
+  /// between chunks, fully quiesced). Read only when `release` is set.
   std::function<int()> target;
   /// Hands an idle, alive, fully-drained worker back to the pool.
   std::function<void(int)> release;
@@ -224,13 +240,17 @@ struct FleetJobOptions {
   bool record_trace = false;
 };
 
-/// Online execution: drives `scheduler` live against real worker
-/// threads computing C += A * B with A (n_a x n_ab), B (n_ab x n_b),
+/// Online execution: drives `scheduler` live against real workers
+/// computing C += A * B with A (n_a x n_ab), B (n_ab x n_b),
 /// C (n_a x n_b) under `partition`. The scheduler sees an ExecutionView
 /// whose readiness reflects the workers' real state: arrived results
-/// and free inbox slots (see runtime/executor.cpp). Throws
-/// std::logic_error on protocol violations, std::runtime_error if
-/// verification fails or a worker thread failed. `decision_log`, if
+/// and free inbox slots (see runtime/executor.cpp). A standalone run is
+/// a one-job fleet: it spawns a Fleet over `platform` and `options`,
+/// runs execute_on_fleet with every worker leased, and shuts the fleet
+/// down; `wall_seconds` counts the spawn and the shutdown. Throws
+/// std::invalid_argument on bad shapes or options, std::logic_error on
+/// protocol violations, std::runtime_error if verification fails or a
+/// worker failed (a failed run kills its workers). `decision_log`, if
 /// non-null, receives every executed decision (for parity checks and
 /// replay).
 ExecutorReport execute_online(sim::Scheduler& scheduler,
@@ -250,19 +270,22 @@ ExecutorReport execute(const platform::Platform& platform,
                        const matrix::Matrix& a, const matrix::Matrix& b,
                        matrix::Matrix& c, const ExecutorOptions& options = {});
 
-/// Fleet re-entry: the same online master loop, but over a LONG-LIVED
-/// fleet's transport, pool and calibration state instead of its own --
-/// no worker spawn, no teardown, warm buffers. The job's scheduler sees
-/// the full fleet platform with every non-leased worker marked failed
-/// (an FT-* policy simply schedules around them), so `scheduler` MUST
-/// be fault-tolerant. Workers granted mid-run (LeaseHooks::poll_grants)
-/// hot-join exactly like a re-admitted TCP worker; idle workers are
-/// shed at chunk boundaries whenever the job exceeds its fair-share
-/// target, and every worker is released as the tail drains -- the
-/// pipelined epilogue that lets the next job's prologue start while
-/// this job's last chunks come home. On any failure the job KILLS the
-/// workers it still holds (reporting them dead) rather than hand a
-/// non-quiesced worker to the next job. Throws like execute_online.
+/// The online master loop of one job on a fleet: the fleet's transport,
+/// pool and calibration state -- no worker spawn, no teardown, warm
+/// buffers. The job's scheduler sees the full fleet platform with every
+/// non-leased worker marked failed (an FT-* policy simply schedules
+/// around them), so unless `initial_lease` holds every worker,
+/// `scheduler` MUST be fault-tolerant. Workers granted mid-run
+/// (LeaseHooks::poll_grants) hot-join idle; when `hooks` has a release
+/// callback, idle workers are shed at chunk boundaries whenever the job
+/// exceeds its fair-share target, and every worker is released as the
+/// tail drains -- the pipelined epilogue that lets the next job's
+/// prologue start while this job's last chunks come home. A worker that
+/// dies under the job is marked dead on the fleet. On any failure the
+/// job KILLS the workers it still holds (reporting them dead) rather
+/// than hand a non-quiesced worker to the next job. Faults are
+/// tolerated iff the fleet's options say so. Throws like
+/// execute_online.
 ExecutorReport execute_on_fleet(sim::Scheduler& scheduler, Fleet& fleet,
                                 const matrix::Partition& partition,
                                 const matrix::Matrix& a,

@@ -1,23 +1,25 @@
-// A long-lived worker fleet: the transport, buffer pool and per-worker
-// calibration state of MANY runs, owned once and reused across jobs.
+// A worker fleet: the transport, buffer pool and per-worker calibration
+// state that every master loop runs on, owned once and reused across
+// jobs.
 //
-// Today's execute_online spawns its workers, warms its pools and
-// calibrates its speeds per run, then throws all of that away. A Fleet
-// flips the ownership: the transport (any of the four kinds) is created
-// ONCE, worker_main's job-agnostic loop keeps every worker alive
-// between jobs, the BufferPool (and the shm transport's SharedArena)
-// stay warm, and the platform::SpeedEstimate vector keeps accumulating
-// observations -- so the second job starts where the first left off.
+// The transport (any of the four kinds) is created ONCE, worker_main's
+// job-agnostic loop keeps every worker alive between jobs, the
+// BufferPool (and the shm transport's SharedArena) stay warm, and the
+// platform::SpeedEstimate vector keeps accumulating observations -- so
+// a daemon's second job starts where the first left off. A standalone
+// run (execute_online) is a one-job fleet: it spawns a Fleet, leases
+// the job every worker, and shuts the fleet down when the job is done.
 //
 // Concurrency model: multiple jobs run at the same time, each as its
-// own master loop (executor.cpp in fleet mode) driving a DISJOINT set
-// of leased workers. A worker's endpoint is only ever touched by the
-// job currently holding its lease; lease hand-offs synchronize through
-// the lease manager's mutex (service/daemon.cpp), and per-endpoint
+// own master loop (executor.cpp) driving a DISJOINT set of leased
+// workers. A worker's endpoint is only ever touched by the job
+// currently holding its lease; lease hand-offs synchronize through the
+// lease manager's mutex (service/daemon.cpp), and per-endpoint
 // transport-stats slots keep the counters race-free. The fleet itself
 // only tracks which workers are still alive: a worker that really died
 // (thread exception, SIGKILL'd child, dropped connection) is reported
-// by the job that held it and never leased again.
+// by the job that held it and is not leased again unless readmit()
+// finds it back.
 #pragma once
 
 #include <atomic>
@@ -37,9 +39,11 @@ namespace hmxp::runtime {
 class Fleet {
  public:
   /// Spawns the fleet's workers immediately. `options` is the
-  /// fleet-wide executor configuration (transport kind, fault hook and
-  /// schedules, calibration alpha); it is copied and kept alive for
-  /// the fleet's whole lifetime because worker contexts point into it.
+  /// fleet-wide executor configuration (transport kind, slowdowns,
+  /// fault hook and schedules, tolerate_faults, calibration alpha); it
+  /// is checked before any worker spawns (std::invalid_argument), then
+  /// copied and kept alive for the fleet's whole lifetime because
+  /// worker contexts point into it.
   /// `max_payload_doubles` is the largest single payload ANY future job
   /// may ship (admission enforces it): the shm arena and the
   /// serializing transports' frame-length ceilings are sized from it
@@ -74,14 +78,21 @@ class Fleet {
   double drift(int worker) const;
   void publish_drift(int worker, double drift);
 
-  /// Permanent-death registry: a job that lost worker `w` for real
-  /// reports it here; the lease manager stops offering it. (A fleet
-  /// has no per-job re-admission: a TCP worker redialing into a
-  /// long-lived daemon would need daemon-level re-admission, which is
-  /// out of scope -- the fleet just shrinks.)
+  /// Death registry: a job that lost worker `w` for real reports it
+  /// here; the lease manager stops offering it until readmit() finds
+  /// it back.
   void mark_dead(int worker);
   bool alive(int worker) const;
   int alive_count() const;
+
+  /// Re-admission: polls every dead worker's endpoint for a comeback (a
+  /// TCP worker that redialed with its identity token,
+  /// Endpoint::try_readmit), marks each one that came back alive, and
+  /// returns them, idle, for the caller to grant. It touches dead
+  /// workers' endpoints, so only the owner of the dead workers may call
+  /// it: a standalone run polls it as its grant source. The daemon
+  /// does not call it yet, so its fleet only shrinks.
+  std::vector<int> readmit();
 
   /// Summed per-endpoint data-plane counters. Only meaningful at a
   /// quiescent point: call between jobs or after shutdown.

@@ -35,6 +35,7 @@ Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {
                "daemon needs at least one runner");
   HMXP_REQUIRE(config_.queue_capacity > 0,
                "daemon needs a positive queue capacity");
+  config_.executor.tolerate_faults = true;  // a death degrades the fleet
   fleet_ = std::make_unique<runtime::Fleet>(
       config_.platform, config_.executor, config_.max_payload_doubles);
   const auto size = static_cast<std::size_t>(fleet_->size());

@@ -44,7 +44,8 @@ namespace hmxp::service {
 struct DaemonConfig {
   platform::Platform platform;
   /// Fleet-wide executor configuration (transport kind, fault hooks,
-  /// calibration alpha). tolerate_faults is forced on by the fleet.
+  /// calibration alpha). The daemon forces tolerate_faults on: a
+  /// worker death degrades the fleet instead of failing the job.
   runtime::ExecutorOptions executor;
   /// Largest single payload any admitted job may ship; sizes the shm
   /// arena and frame ceilings once, at fleet spawn.

@@ -7,7 +7,8 @@
 //
 // Per fd source: live and replay parity with the thread transport for
 // every registered scheduler, the serialization counters, buffer
-// credits as Endpoint::can_send reports them, a SIGKILL'd worker
+// credits as Endpoint::can_send reports them, a shutdown whose goodbye
+// waits behind queued operands, a SIGKILL'd worker
 // recovered bit-for-bit, strict mode surfacing the child's root cause,
 // kernel-configuration propagation into forked workers, the core
 // facade, and backend-name parsing.
@@ -229,6 +230,11 @@ TEST_P(StreamBackend, SerializationCountersReportTheDataPlaneCost) {
 TEST_P(StreamBackend, CanSendFollowsTheWorkersCredits) {
   HMXP_SKIP_UNDER_TSAN();
   expect_can_send_tracks_the_inbox(GetParam().transport);
+}
+
+TEST_P(StreamBackend, ShutdownStopsAtTheGoodbyeBehindQueuedOperands) {
+  HMXP_SKIP_UNDER_TSAN();
+  expect_shutdown_stops_at_the_goodbye(GetParam().transport);
 }
 
 TEST_P(StreamBackend, SigkilledWorkerProcessRecoversBitForBit) {

@@ -4,7 +4,8 @@
 // failure path, the dynamic-perturbation hook on the simulator side,
 // EWMA speed calibration on both backends, bandwidth (c_i) perturbation
 // parity through the throttled channel, the mid-idle worker-death
-// regression, and a straggler that must not stall the other workers.
+// regression, a straggler that must not stall the other workers, and
+// what a fleet checks at spawn and counts per job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/run.hpp"
@@ -222,6 +224,53 @@ TEST(OnlineRuntime, FleetJobNeverOutlivesItsLoans) {
       *threw - step->opened;
   EXPECT_GE(margin.count(), 0.0)
       << "the call rethrew while worker 1 could still read A and B";
+}
+
+// ---- what a fleet checks and counts ----------------------------------------
+
+TEST(OnlineRuntime, FleetChecksWorkerSlowdownsBeforeSpawning) {
+  // Each worker reads its own slowdown entry as it spawns, so the fleet
+  // refuses a vector that does not cover it, or a factor below 1,
+  // before any worker exists.
+  const auto plat = platform::Platform::homogeneous(4, 0.01, 0.002, 40);
+  ExecutorOptions options;
+  options.compute_slowdown = {1, 2};
+  EXPECT_THROW((Fleet{plat, options, 64}), std::invalid_argument);
+  options.compute_slowdown = {1, 0, 1, 1};
+  EXPECT_THROW((Fleet{plat, options, 64}), std::invalid_argument);
+}
+
+TEST(OnlineRuntime, FleetJobCountsOnlyTheWorkersItLost) {
+  // A job's mirror marks failed every worker it does not hold -- outside
+  // its lease, or released at the end -- yet none of them was lost: a
+  // fault-free job reads 0 whatever its lease, as the standalone run of
+  // the same product does.
+  const matrix::Partition part(40, 40, 40, 8);
+  const auto plat = platform::Platform::homogeneous(4, 0.01, 0.002, 40);
+  const auto a = random_matrix(40, 40, 71);
+  const auto b = random_matrix(40, 40, 72);
+  Fleet fleet(plat, ExecutorOptions{}, 40 * 40);
+  for (const char* algorithm : {"FT-ODDOML", "SP-FT-ODDOML"}) {
+    for (const std::vector<int>& lease :
+         {std::vector<int>{0, 1, 2, 3}, std::vector<int>{0}}) {
+      matrix::Matrix c(40, 40, 0.0);
+      auto scheduler =
+          sched::Registry::instance().make(algorithm, plat, part);
+      const ExecutorReport report = execute_on_fleet(
+          *scheduler, fleet, part, a, b, c, lease, LeaseHooks{});
+      EXPECT_EQ(report.result.workers_failed, 0)
+          << algorithm << " leasing " << lease.size() << " worker(s)";
+      EXPECT_EQ(report.workers_failed, 0);
+      EXPECT_EQ(report.fleet_workers_used, static_cast<int>(lease.size()));
+    }
+    matrix::Matrix c(40, 40, 0.0);
+    auto scheduler = sched::Registry::instance().make(algorithm, plat, part);
+    const ExecutorReport standalone =
+        execute_online(*scheduler, plat, part, a, b, c);
+    EXPECT_EQ(standalone.result.workers_failed, 0) << algorithm;
+    EXPECT_EQ(standalone.fleet_workers_used, 4) << algorithm;
+  }
+  fleet.shutdown();
 }
 
 // ---- readiness: serve the workers that can act --------------------------

@@ -276,6 +276,16 @@ TEST(Service, SubmitAfterShutdownIsRejected) {
   EXPECT_NE(late.error.find("shutting down"), std::string::npos);
 }
 
+TEST(Service, DaemonChecksWorkerSlowdownsBeforeSpawning) {
+  // The fleet-wide slowdowns are checked before the fleet spawns a
+  // worker: each worker reads its own entry as it starts.
+  DaemonConfig config = base_config();
+  config.executor.compute_slowdown = {1, 2};  // 4 workers
+  EXPECT_THROW(Daemon{config}, std::invalid_argument);
+  config.executor.compute_slowdown = {1, 0, 1, 1};
+  EXPECT_THROW(Daemon{config}, std::invalid_argument);
+}
+
 // ---- fair sharing -----------------------------------------------------------
 
 TEST(Service, FairTargetsSplitByWeightWithFloor) {

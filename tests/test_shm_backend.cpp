@@ -4,8 +4,9 @@
 // frame round-trips against a real arena, cross-transport parity
 // (thread vs shm backends produce identical decision sequences and
 // bit-for-bit identical C for every registered scheduler),
-// Endpoint::can_send against the worker's ack-board count, SIGKILL'd
-// workers as recoverable failures WITH no arena slot leaked, the
+// Endpoint::can_send against the worker's ack-board count, a shutdown
+// behind queued operands, SIGKILL'd workers as recoverable failures
+// WITH no arena slot leaked, the
 // zero-copy stats the transport reports, and the core facade's
 // Backend::kShm plumbing.
 //
@@ -469,6 +470,11 @@ TEST(ShmBackend, CanSendFollowsTheAckBoard) {
 }
 
 // ---- worker death and slot reclamation --------------------------------------
+
+TEST(ShmBackend, ShutdownStopsAtTheGoodbyeBehindQueuedOperands) {
+  HMXP_SKIP_UNDER_TSAN();
+  expect_shutdown_stops_at_the_goodbye(TransportKind::kShm);
+}
 
 TEST(ShmBackend, SigkilledWorkerRecoversBitForBitWithoutLeakingSlots) {
   HMXP_SKIP_UNDER_TSAN();

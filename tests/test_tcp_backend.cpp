@@ -9,22 +9,18 @@
 // the dialed fd source, and what only TCP has: the disconnect/reconnect
 // lifecycle -- a worker severed mid-run redials, is re-admitted, and the
 // run completes bit-for-bit equal to the fault-free product. Last, over
-// all four transports: a master that aborts while a worker still holds
-// queued operands shuts down promptly (a TCP worker once took the EOF
-// behind the goodbye for a dropped link and redialed into a handshake).
+// all four transports: a run whose scheduler aborts while a worker still
+// holds queued operands surfaces the scheduler's error promptly, and a
+// fault-tolerant run that loses every worker throws instead of waiting.
 //
 // Everything that forks SKIPS under ThreadSanitizer; the in-process serde
 // and socket-helper tests keep running there.
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -313,39 +309,6 @@ TEST(TcpBackend, DisconnectedWorkerReconnectsAndRecoversBitForBit) {
 
 // ---- a master that aborts mid-run, on every transport -----------------------
 
-/// Ends the whole test binary if the guarded scope outlives `limit`: a
-/// regression that wedges the master must fail the suite, never hang
-/// ctest. Forked workers die with the binary (PR_SET_PDEATHSIG).
-class Watchdog {
- public:
-  Watchdog(std::chrono::seconds limit, std::string what)
-      : thread_([this, limit, what = std::move(what)] {
-          std::unique_lock<std::mutex> lock(mutex_);
-          if (!done_cv_.wait_for(lock, limit, [this] { return done_; })) {
-            std::fprintf(stderr, "watchdog: %s still running after %llds\n",
-                         what.c_str(),
-                         static_cast<long long>(limit.count()));
-            std::_Exit(1);
-          }
-        }) {}
-  ~Watchdog() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      done_ = true;
-    }
-    done_cv_.notify_all();
-    thread_.join();
-  }
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
- private:
-  std::mutex mutex_;
-  std::condition_variable done_cv_;
-  bool done_ = false;
-  std::thread thread_;  // last: starts once the members it uses exist
-};
-
 /// Hands worker 1 its chunk and two operand batches, then throws from
 /// next(): the master aborts while that worker computes its first step
 /// with the next batch already queued behind it.
@@ -373,11 +336,11 @@ class MasterAbort : public ::testing::TestWithParam<TransportKind> {};
 TEST_P(MasterAbort, WorkerWithQueuedOperandsStopsAtTheGoodbye) {
   if (GetParam() != TransportKind::kThread) HMXP_SKIP_UNDER_TSAN();
   // Worker 1 stalls in step 0 while its second batch waits in its
-  // inbox; the master's shutdown queues the goodbye behind it. The
-  // worker's cancel lookahead is what reads that goodbye, and the
-  // worker must still end its stream there -- not take the EOF behind
-  // it for a dropped link, redial the still-open listen socket and
-  // block in a handshake while the master waits to reap it.
+  // inbox when the scheduler throws. A failed run kills the workers it
+  // holds, so no goodbye is sent: the scheduler's error must surface,
+  // and the killed worker be reaped, within the bound on every
+  // transport. (The goodbye behind queued operands is covered at the
+  // transport level: expect_shutdown_stops_at_the_goodbye.)
   const Watchdog watchdog(std::chrono::seconds(60),
                           std::string("master abort over ") +
                               transport_kind_name(GetParam()));
@@ -410,13 +373,61 @@ TEST_P(MasterAbort, WorkerWithQueuedOperandsStopsAtTheGoodbye) {
   EXPECT_LT(seconds, 10.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllTransports, MasterAbort,
+std::string transport_param_name(
+    const ::testing::TestParamInfo<TransportKind>& info) {
+  return std::string(transport_kind_name(info.param));
+}
+
+const auto kAllTransports =
     ::testing::Values(TransportKind::kThread, TransportKind::kProcess,
-                      TransportKind::kShm, TransportKind::kTcp),
-    [](const ::testing::TestParamInfo<TransportKind>& info) {
-      return std::string(transport_kind_name(info.param));
-    });
+                      TransportKind::kShm, TransportKind::kTcp);
+
+INSTANTIATE_TEST_SUITE_P(AllTransports, MasterAbort, kAllTransports,
+                         transport_param_name);
+
+// ---- a fault-tolerant run that loses every worker, on every transport ------
+
+class EveryWorkerLost : public ::testing::TestWithParam<TransportKind> {};
+
+TEST_P(EveryWorkerLost, FaultTolerantRunThrowsInsteadOfWaiting) {
+  if (GetParam() != TransportKind::kThread) HMXP_SKIP_UNDER_TSAN();
+  // Every worker dies on its first message. A standalone run has no
+  // grant to wait for, so the FT-* scheduler concludes: the run throws
+  // at once instead of waiting for a worker that cannot come.
+  const Watchdog watchdog(std::chrono::seconds(60),
+                          std::string("every worker lost over ") +
+                              transport_kind_name(GetParam()));
+  const auto plat = platform::Platform::homogeneous(3, 0.01, 0.002, 40);
+  const matrix::Partition part(40, 40, 40, 8);
+  const auto a = random_matrix(40, 40, 61);
+  const auto b = random_matrix(40, 40, 62);
+  matrix::Matrix c(40, 40, 0.0);
+
+  auto scheduler = sched::Registry::instance().make("FT-ODDOML", plat, part);
+  ExecutorOptions options;
+  options.transport = GetParam();
+  options.tolerate_faults = true;
+  for (int worker = 0; worker < plat.size(); ++worker)
+    options.faults.add(worker, /*at=*/0.0);
+  const auto begin = std::chrono::steady_clock::now();
+  try {
+    execute_online(*scheduler, plat, part, a, b, c, options);
+    FAIL() << "expected the run to give up";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("fault tolerance exhausted: every worker failed "
+                        "with work pending"),
+              std::string::npos)
+        << error.what();
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - begin)
+                             .count();
+  EXPECT_LT(seconds, 10.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTransports, EveryWorkerLost, kAllTransports,
+                         transport_param_name);
 
 }  // namespace
 }  // namespace hmxp::runtime
