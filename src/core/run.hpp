@@ -12,8 +12,8 @@
 //     serialized over a socketpair each -- the in-machine reproduction
 //     of the companion report's real-cluster (MPI) deployment;
 //   * Backend::kShm    -- the same forked isolation, but payloads live
-//     in a pre-fork shared-memory arena and only (slot, length)
-//     descriptors cross the sockets: zero-copy process isolation;
+//     in a pre-fork shared-memory arena and the frames, on shared
+//     rings, only name their slots: zero-copy process isolation;
 //   * Backend::kTcp    -- the stream transport with dialed streams:
 //     forked workers DIAL the master's loopback listen socket and
 //     reconnect after a dropped connection -- the in-machine rehearsal

@@ -34,6 +34,10 @@ using serde::FrameType;
 /// allocate.
 constexpr std::uint64_t kHandshakeFrameBytes = 4096;
 
+double seconds_since(Clock::time_point begin) {
+  return std::chrono::duration<double>(Clock::now() - begin).count();
+}
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   HMXP_CHECK(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
@@ -178,10 +182,8 @@ std::uint16_t Acceptor::listen_loopback() {
 }
 
 void Acceptor::admit(int fd) {
-  Pending conn;
-  conn.fd = fd;
-  conn.deadline = Clock::now() + std::chrono::seconds(10);
-  pending_.push_back(std::move(conn));
+  pending_.push_back(Pending{fd, serde::FrameSplitter(kHandshakeFrameBytes),
+                             Clock::now() + std::chrono::seconds(10)});
 }
 
 void Acceptor::poll() {
@@ -246,11 +248,11 @@ void Acceptor::close_all() noexcept {
 /// completed valid hello moves the connection to staged_ (also
 /// returning true -- the fd moved, Pending::fd is cleared).
 bool Acceptor::advance(Pending& conn) {
-  std::uint8_t buffer[1024];
+  constexpr std::size_t kChunk = 1024;
   for (;;) {
-    const ssize_t n = ::recv(conn.fd, buffer, sizeof buffer, 0);
+    const ssize_t n = ::recv(conn.fd, conn.rx.reserve(kChunk), kChunk, 0);
     if (n > 0) {
-      conn.rx.insert(conn.rx.end(), buffer, buffer + n);
+      conn.rx.commit(static_cast<std::size_t>(n));
       continue;
     }
     if (n == 0) return true;  // EOF before a full hello
@@ -258,16 +260,11 @@ bool Acceptor::advance(Pending& conn) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     return true;  // reset or a real error: drop
   }
-  if (conn.rx.size() < serde::kLengthBytes) return false;
   try {
-    const std::uint64_t length =
-        serde::checked_frame_length(conn.rx.data(), kHandshakeFrameBytes);
-    if (conn.rx.size() - serde::kLengthBytes < length) return false;
-    Staged staged;
-    staged.hello = serde::decode_hello(conn.rx.data() + serde::kLengthBytes,
-                                       static_cast<std::size_t>(length));
-    staged.fd = conn.fd;
-    staged_.push_back(staged);
+    const auto hello = conn.rx.next();
+    if (!hello) return false;
+    staged_.push_back(
+        Staged{conn.fd, serde::decode_hello(hello->data(), hello->size())});
     conn.fd = -1;  // ownership moved
   } catch (const std::exception& error) {
     // Not an hmxp worker, or a version skew: tell it why (the error
@@ -285,14 +282,16 @@ bool Acceptor::advance(Pending& conn) {
 
 ForkedEndpoint::ForkedEndpoint(int index, pid_t pid, std::uint64_t token,
                                const serde::HelloFrame& expected_hello,
-                               TransportStats* stats,
-                               std::uint64_t frame_limit)
+                               TransportStats* stats, BufferPool* pool,
+                               std::uint64_t frame_limit, SharedArena* arena)
     : index_(index),
       stats_(stats),
+      pool_(pool),
+      arena_(arena),
       pid_(pid),
       token_(token),
       expected_hello_(expected_hello),
-      frame_limit_(frame_limit) {}
+      rx_(frame_limit) {}
 
 void ForkedEndpoint::kill() {
   if (killed_) return;
@@ -389,6 +388,17 @@ bool ForkedEndpoint::exited() const {
          info.si_pid == pid_;
 }
 
+void ForkedEndpoint::dispatch(const std::uint8_t*, std::size_t) {
+  mark_failed("unexpected frame from worker");
+}
+
+void ForkedEndpoint::encode(const WorkerMessage& message) {
+  const auto serde_begin = Clock::now();
+  tx_.clear();
+  serde::encode(message, tx_);
+  stats_->serde_seconds += seconds_since(serde_begin);
+}
+
 std::optional<ResultMessage> ForkedEndpoint::pop_result() {
   if (results_.empty()) return std::nullopt;
   ResultMessage result = std::move(results_.front());
@@ -399,12 +409,12 @@ std::optional<ResultMessage> ForkedEndpoint::pop_result() {
 
 void ForkedEndpoint::pump() {
   if (eof_ || fd_ < 0) return;
-  std::uint8_t buffer[1 << 16];
+  constexpr std::size_t kChunk = 1 << 16;
   for (;;) {
-    const ssize_t n = ::recv(fd_, buffer, sizeof buffer, 0);
+    const ssize_t n = ::recv(fd_, rx_.reserve(kChunk), kChunk, 0);
     if (n > 0) {
-      rx_.insert(rx_.end(), buffer, buffer + n);
-      if (static_cast<std::size_t>(n) < sizeof buffer) break;
+      rx_.commit(static_cast<std::size_t>(n));
+      if (static_cast<std::size_t>(n) < kChunk) break;
       continue;
     }
     if (n == 0 || errno == ECONNRESET) {
@@ -416,41 +426,41 @@ void ForkedEndpoint::pump() {
     mark_failed(std::string("recv failed: ") + std::strerror(errno));
     return;
   }
-
-  std::size_t cursor = 0;
-  while (rx_.size() - cursor >= serde::kLengthBytes) {
-    std::uint64_t length = 0;
-    try {
-      // A corrupt prefix fails the endpoint cleanly; it never sizes an
-      // allocation.
-      length = serde::checked_frame_length(rx_.data() + cursor, frame_limit_);
-    } catch (const std::exception& error) {
-      mark_failed(error.what());
-      break;
-    }
-    if (rx_.size() - cursor - serde::kLengthBytes < length) break;
-    const std::uint8_t* body = rx_.data() + cursor + serde::kLengthBytes;
-    const auto size = static_cast<std::size_t>(length);
-    try {
-      // A dying worker's notice carries its own root cause.
-      if (serde::frame_type(body, size) == FrameType::kError)
-        mark_failed(serde::decode_error(body, size));
-      else
-        dispatch(body, size);
-    } catch (const std::exception& error) {
-      // Corrupt frame CONTENT is the same protocol death as a corrupt
-      // length: the worker failed, the run recovers under
-      // tolerate_faults -- it must never abort a tolerant run.
-      mark_failed(std::string("protocol corruption: ") + error.what());
-      break;
-    }
-    cursor += serde::kLengthBytes + size;
-    stats_->bytes_received += serde::kLengthBytes + size;
-  }
-  if (cursor > 0)
-    rx_.erase(rx_.begin(), rx_.begin() + static_cast<std::ptrdiff_t>(cursor));
+  deliver(rx_);
   if (eof_ && !failed_ && !discarding_)
     mark_failed("exited unexpectedly (connection closed)");
+}
+
+void ForkedEndpoint::deliver(serde::FrameSplitter& rx) {
+  try {
+    // A corrupt length or corrupt content alike fails the worker
+    // cleanly: the run recovers under tolerate_faults -- it must never
+    // abort a tolerant run, and a corrupt prefix never sizes a buffer.
+    while (const auto frame = rx.next()) {
+      const std::uint8_t* body = frame->data();
+      const std::size_t size = frame->size();
+      stats_->bytes_received += serde::kLengthBytes + size;
+      const FrameType type = serde::frame_type(body, size);
+      if (type == FrameType::kError) {
+        // A dying worker's notice carries its own root cause.
+        mark_failed(serde::decode_error(body, size));
+      } else if (type == FrameType::kResult) {
+        const auto serde_begin = Clock::now();
+        ResultMessage result = serde::decode_result(body, size, *pool_, arena_);
+        stats_->serde_seconds += seconds_since(serde_begin);
+        if (result.c.in_arena())
+          stats_->bytes_zero_copied += result.c.size() * sizeof(double);
+        if (discarding_)
+          result.c.release_to(*pool_);
+        else
+          results_.push_back(std::move(result));
+      } else {
+        dispatch(body, size);
+      }
+    }
+  } catch (const std::exception& error) {
+    mark_failed(std::string("protocol corruption: ") + error.what());
+  }
 }
 
 void ForkedEndpoint::wait_io(bool want_write, int timeout_ms) {

@@ -19,9 +19,10 @@
 //     naming both versions, and stages the rest by token until the
 //     owning endpoint claims them;
 //   * the master's per-worker base, ForkedEndpoint: the bounded hello
-//     wait, the socket pump that surfaces kError notices and EOF, death
-//     classification from the kError text or the waitpid status, kill()
-//     and reaping.
+//     wait, the socket pump that surfaces kError notices and EOF, the
+//     one place a result frame is decoded, whichever pipe carried it,
+//     death classification from the kError text or the waitpid status,
+//     kill() and reaping.
 //
 // NOTE on fork without exec: the child deliberately inherits the
 // master's address space (options, schedules, fault_hook closures and
@@ -158,7 +159,7 @@ class Acceptor {
  private:
   struct Pending {
     int fd = -1;
-    serde::ByteBuffer rx;
+    serde::FrameSplitter rx;
     std::chrono::steady_clock::time_point deadline;
   };
   struct Staged {
@@ -203,10 +204,13 @@ class ForkedEndpoint : public Endpoint {
   void wait_hello(Acceptor& acceptor);
 
  protected:
-  /// `frame_limit` bounds every inbound frame on the socket.
+  /// `frame_limit` bounds every inbound frame. Results decode their
+  /// inline payloads into `pool` and their slot references against
+  /// `arena` (null when the worker has none).
   ForkedEndpoint(int index, pid_t pid, std::uint64_t token,
                  const serde::HelloFrame& expected_hello,
-                 TransportStats* stats, std::uint64_t frame_limit);
+                 TransportStats* stats, BufferPool* pool,
+                 std::uint64_t frame_limit, SharedArena* arena = nullptr);
 
   /// Claims this worker's staged connection, if it has one: checks its
   /// kernel configuration, acks the handshake and makes it the
@@ -215,9 +219,13 @@ class ForkedEndpoint : public Endpoint {
   /// claim or the claim failed.
   bool adopt(Acceptor& acceptor);
 
-  /// Handles one complete inbound frame body other than a kError death
-  /// notice, which the pump turns into the worker's failure itself.
-  virtual void dispatch(const std::uint8_t* body, std::size_t size) = 0;
+  /// Handles every whole frame buffered in `rx`, in order: a death
+  /// notice fails the worker with its text, a result is decoded and
+  /// queued (dropped, its storage released, while discarding), any other
+  /// frame goes to dispatch. A corrupt frame fails the worker.
+  void deliver(serde::FrameSplitter& rx);
+  /// Any other frame body; by default it is corrupt.
+  virtual void dispatch(const std::uint8_t* body, std::size_t size);
 
   /// Marks the worker dead (sticky; the first reason wins), appending
   /// how the child ended when it already has: the kError text a dying
@@ -228,6 +236,8 @@ class ForkedEndpoint : public Endpoint {
     if (failed_) throw_dead();
   }
   std::optional<ResultMessage> pop_result();
+  /// Encodes `message` into tx_, timed as serialization.
+  void encode(const WorkerMessage& message);
 
   /// Nonblocking absorb: reads everything available, dispatches complete
   /// frames, notes EOF (a failure unless the endpoint is shutting down).
@@ -242,11 +252,14 @@ class ForkedEndpoint : public Endpoint {
 
   const int index_;
   TransportStats* const stats_;
+  BufferPool* const pool_;
+  SharedArena* const arena_;
   int fd_ = -1;
   bool eof_ = false;
   /// Shutting down: results are dropped and EOF is expected.
   bool discarding_ = false;
   std::deque<ResultMessage> results_;
+  serde::ByteBuffer tx_;  // the frame being sent
 
  private:
   bool exited() const;
@@ -254,8 +267,7 @@ class ForkedEndpoint : public Endpoint {
   pid_t pid_;
   std::uint64_t token_;
   serde::HelloFrame expected_hello_;
-  std::uint64_t frame_limit_;
-  serde::ByteBuffer rx_;
+  serde::FrameSplitter rx_;  // the socket's bytes
   std::exception_ptr error_;
   bool failed_ = false;
   bool killed_ = false;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -72,5 +73,23 @@ struct CancelMessage {
 };
 
 using WorkerMessage = std::variant<ChunkMessage, OperandMessage, CancelMessage>;
+
+/// Calls `fn(Payload&)` on every payload `message` carries: a chunk's
+/// C, an operand batch's A then B, nothing for a cancel. The one place
+/// that knows which messages carry payloads.
+template <typename Fn>
+void for_each_payload(WorkerMessage& message, Fn&& fn) {
+  std::visit(
+      [&](auto& held) {
+        using Held = std::decay_t<decltype(held)>;
+        if constexpr (std::is_same_v<Held, ChunkMessage>) {
+          fn(held.c);
+        } else if constexpr (std::is_same_v<Held, OperandMessage>) {
+          fn(held.a);
+          fn(held.b);
+        }
+      },
+      message);
+}
 
 }  // namespace hmxp::runtime

@@ -6,8 +6,8 @@
 //     decoder hands out (master or worker side).
 //   * ARENA VIEW -- a (pointer, length) window into a SharedArena slot.
 //     The shm transport packs payloads straight into shared slots,
-//     workers compute directly from (and into) them, and only (slot,
-//     length) descriptors ever cross the control socket.
+//     workers compute directly from (and into) them, and a frame names
+//     the slot instead of carrying its bytes.
 //   * LENT WINDOW -- a read-only rows x cols window of the master's A, B
 //     or C, `ld` doubles between row starts: no copy at all. The
 //     executor sends nothing else, and each endpoint's send decides how
@@ -32,8 +32,7 @@
 // error path (an unwinding worker, a master rolling a decision back)
 // frees its arena slot and returns its loan instead of leaking them.
 // detach() breaks the slot tie for the one case where ownership really
-// crosses the process boundary (a descriptor frame handing the slot to
-// the peer).
+// crosses the process boundary (a frame handing the slot to the peer).
 #pragma once
 
 #include <atomic>
@@ -137,8 +136,8 @@ class Payload {
   void release_to(BufferPool& pool);
 
   /// Forgets an arena view WITHOUT releasing the slot: the slot's
-  /// ownership just crossed the process boundary inside a descriptor
-  /// frame, and the peer (or the master's crash reclamation) is now
+  /// ownership just crossed the process boundary inside a frame, and
+  /// the peer (or the master's crash reclamation) is now
   /// responsible for it. Owned storage is simply dropped, and a lent
   /// window returns its loan.
   void detach();

@@ -4,12 +4,22 @@
 #include <cstring>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
+#include <variant>
 
 #include <unistd.h>
 
 namespace hmxp::runtime::serde {
 
 namespace {
+
+/// A payload field's home tag (see the top of serde.hpp).
+constexpr std::uint8_t kInlineHome = 0;
+constexpr std::uint8_t kArenaHome = 1;
+
+/// Wire bytes of one plan step: operand_blocks, updates, k_begin, k_end.
+constexpr std::size_t kPlanStepBytes =
+    2 * sizeof(std::int64_t) + 2 * sizeof(std::uint64_t);
 
 void require(bool ok, const char* what) {
   if (!ok) throw std::runtime_error(std::string("corrupt frame: ") + what);
@@ -33,27 +43,25 @@ class Writer {
   void u32(std::uint32_t value) { raw(&value, sizeof value); }
   void u64(std::uint64_t value) { raw(&value, sizeof value); }
   void i64(std::int64_t value) { raw(&value, sizeof value); }
-  void f64(double value) { raw(&value, sizeof value); }
-  void doubles(const double* values, std::size_t count) {
-    u64(count);
-    if (count > 0) raw(values, count * sizeof(double));
-  }
   void doubles(const std::vector<double>& values) {
-    doubles(values.data(), values.size());
+    u64(values.size());
+    raw(values.data(), values.size() * sizeof(double));
   }
-  /// The same layout for a payload in any home: a lent window's rows
-  /// go straight into the frame, so its bytes match its dense copy's.
-  void doubles(const Payload& payload) {
+  /// A payload field: an arena view as its slot reference -- the bytes
+  /// stay in the slot -- anything else inline, a lent window row by row
+  /// so that its bytes match its dense copy's.
+  void payload(const Payload& payload) {
+    if (payload.in_arena()) {
+      u8(kArenaHome);
+      u64(payload.slot());
+      u64(payload.size());
+      return;
+    }
+    u8(kInlineHome);
     u64(payload.size());
     payload.for_each_row([this](const double* row, std::size_t count) {
       raw(row, count * sizeof(double));
     });
-  }
-  /// An arena payload as a (slot, length) descriptor -- the whole point
-  /// of the shm transport: bytes stay in the slot, only this crosses.
-  void slot_ref(const Payload& payload) {
-    u64(payload.slot());
-    u64(payload.size());
   }
 
  private:
@@ -91,49 +99,41 @@ class Reader {
     raw(&value, sizeof value);
     return value;
   }
-  double f64() {
-    double value;
-    raw(&value, sizeof value);
-    return value;
-  }
-  std::vector<double> doubles(BufferPool& pool) {
-    const std::uint64_t count = u64();
+  /// [u64 n][n doubles] into a vector of `pool`, or off-pool when it
+  /// is null: for small per-chunk bookkeeping vectors whose storage is
+  /// not worth recycling (matches the thread path, where step_seconds
+  /// is a per-chunk allocation outside the pool's scope).
+  std::vector<double> doubles(BufferPool* pool) {
+    const auto count = static_cast<std::size_t>(u64());
     // Divide, don't multiply: a hostile count must not overflow the check.
-    require(count <= (size_ - cursor_) / sizeof(double),
-            "truncated doubles");
+    require(count <= remaining() / sizeof(double), "truncated doubles");
     std::vector<double> values =
-        pool.acquire(static_cast<std::size_t>(count));
+        pool != nullptr ? pool->acquire(count) : std::vector<double>(count);
     if (count > 0) raw(values.data(), count * sizeof(double));
     return values;
   }
-  /// Same, off-pool: for small per-chunk bookkeeping vectors whose
-  /// storage is not worth recycling (matches the thread path, where
-  /// step_seconds is a per-chunk allocation outside the pool's scope).
-  std::vector<double> doubles_plain() {
-    const std::uint64_t count = u64();
-    require(count <= (size_ - cursor_) / sizeof(double),
-            "truncated doubles");
-    std::vector<double> values(static_cast<std::size_t>(count));
-    if (count > 0) raw(values.data(), count * sizeof(double));
-    return values;
-  }
-  /// Decodes a (slot, length) descriptor into a view of the shared
-  /// slot, validating both against the arena's geometry.
-  Payload slot_ref(SharedArena& arena) {
+  /// A payload field in either home: inline doubles into a `pool`
+  /// vector, a slot reference into a view of `arena`'s slot, checked
+  /// against the arena's geometry.
+  Payload payload(BufferPool& pool, SharedArena* arena) {
+    const std::uint8_t home = u8();
+    if (home == kInlineHome) return doubles(&pool);
+    require(home == kArenaHome, "unknown payload home");
+    require(arena != nullptr, "arena slot reference without an arena");
     const std::uint64_t slot = u64();
     const std::uint64_t count = u64();
-    require(slot < arena.slot_count(), "arena slot out of range");
-    require(count <= arena.slot_doubles(), "arena payload overflows slot");
-    return Payload::arena_view(&arena, static_cast<std::uint32_t>(slot),
-                               arena.slot_data(static_cast<std::uint32_t>(
-                                   slot)),
+    require(slot < arena->slot_count(), "arena slot out of range");
+    require(count <= arena->slot_doubles(), "arena payload overflows slot");
+    const auto index = static_cast<std::uint32_t>(slot);
+    return Payload::arena_view(arena, index, arena->slot_data(index),
                                static_cast<std::size_t>(count));
   }
+  std::size_t remaining() const { return size_ - cursor_; }
   void done() const { require(cursor_ == size_, "trailing frame bytes"); }
 
  private:
   void raw(void* out, std::size_t size) {
-    require(cursor_ + size <= size_, "truncated field");
+    require(size <= remaining(), "truncated field");
     std::memcpy(out, data_ + cursor_, size);
     cursor_ += size;
   }
@@ -168,7 +168,9 @@ sim::ChunkPlan read_plan(Reader& reader) {
   plan.rect.j0 = static_cast<std::size_t>(reader.u64());
   plan.rect.j1 = static_cast<std::size_t>(reader.u64());
   const std::uint64_t steps = reader.u64();
-  require(steps <= 1u << 24, "absurd step count");
+  // The frame must hold the steps it declares BEFORE they are sized: a
+  // corrupt count must not allocate more than the frame itself.
+  require(steps <= reader.remaining() / kPlanStepBytes, "truncated plan");
   plan.steps.resize(static_cast<std::size_t>(steps));
   for (sim::StepPlan& step : plan.steps) {
     step.operand_blocks = reader.i64();
@@ -181,80 +183,123 @@ sim::ChunkPlan read_plan(Reader& reader) {
   return plan;
 }
 
-/// Reserves the length prefix, runs `fill`, then patches the prefix
-/// with the number of bytes the body occupied.
+/// Reserves the length prefix, writes the type byte, runs `fill`, then
+/// patches the prefix with the number of bytes the body occupied.
 template <typename Fill>
-void frame(ByteBuffer& out, Fill&& fill) {
+void frame(ByteBuffer& out, FrameType type, Fill&& fill) {
   const std::size_t prefix_at = out.size();
   out.resize(out.size() + kLengthBytes);
-  fill();
+  Writer writer(out);
+  writer.u8(static_cast<std::uint8_t>(type));
+  fill(writer);
   const std::uint64_t length = out.size() - prefix_at - kLengthBytes;
   std::memcpy(out.data() + prefix_at, &length, sizeof length);
 }
 
+/// A reader over the fields of a frame body whose type must be `type`.
+Reader body_reader(const std::uint8_t* body, std::size_t size,
+                   FrameType type) {
+  require(frame_type(body, size) == type, "unexpected frame type");
+  return Reader(body + 1, size - 1);
+}
+
+void encode_cancel(const CancelMessage& message, ByteBuffer& out) {
+  frame(out, FrameType::kCancel,
+        [&](Writer& writer) { writer.u64(message.seq); });
+}
+
+CancelMessage decode_cancel(const std::uint8_t* body, std::size_t size) {
+  Reader reader = body_reader(body, size, FrameType::kCancel);
+  CancelMessage message;
+  message.seq = reader.u64();
+  reader.done();
+  return message;
+}
+
 }  // namespace
 
+// ---- frame splitter ---------------------------------------------------------
+
+std::uint8_t* FrameSplitter::reserve(std::size_t count) {
+  // Frames already handed out make room for the new bytes.
+  if (begin_ > 0) {
+    std::memmove(bytes_.data(), bytes_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  if (bytes_.size() < end_ + count) bytes_.resize(end_ + count);
+  return bytes_.data() + end_;
+}
+
+std::optional<std::span<const std::uint8_t>> FrameSplitter::next() {
+  if (end_ - begin_ < kLengthBytes) return std::nullopt;
+  const std::uint64_t length =
+      checked_frame_length(bytes_.data() + begin_, limit_);
+  if (end_ - begin_ - kLengthBytes < length) return std::nullopt;
+  const std::uint8_t* body = bytes_.data() + begin_ + kLengthBytes;
+  begin_ += kLengthBytes + static_cast<std::size_t>(length);
+  return std::span<const std::uint8_t>(body, static_cast<std::size_t>(length));
+}
+
+// ---- encoders ---------------------------------------------------------------
+
 void encode_chunk(const ChunkMessage& message, ByteBuffer& out) {
-  frame(out, [&] {
-    Writer writer(out);
-    writer.u8(static_cast<std::uint8_t>(FrameType::kChunk));
+  frame(out, FrameType::kChunk, [&](Writer& writer) {
     write_plan(writer, message.plan);
     writer.u64(message.element_rows);
     writer.u64(message.element_cols);
     // seq travels BEFORE the payload: a decoder that throws past this
-    // point would destroy an already-acquired payload (returning a pool
+    // point would destroy an already-decoded payload (returning a pool
     // vector -- or worse, an arena slot the sender still owns -- behind
-    // the caller's back), so every fallible field precedes acquisition.
+    // the caller's back), so every fallible field precedes it.
     writer.u64(message.seq);
-    writer.doubles(message.c);
+    writer.payload(message.c);
   });
 }
 
 void encode_operand(const OperandMessage& message, ByteBuffer& out) {
-  frame(out, [&] {
-    Writer writer(out);
-    writer.u8(static_cast<std::uint8_t>(FrameType::kOperand));
+  frame(out, FrameType::kOperand, [&](Writer& writer) {
     writer.u64(message.step);
     writer.u64(message.k_elem_begin);
     writer.u64(message.k_elems);
-    writer.doubles(message.a);
-    writer.doubles(message.b);
+    writer.payload(message.a);
+    writer.payload(message.b);
   });
 }
 
 void encode_result(const ResultMessage& message, ByteBuffer& out) {
-  frame(out, [&] {
-    Writer writer(out);
-    writer.u8(static_cast<std::uint8_t>(FrameType::kResult));
+  frame(out, FrameType::kResult, [&](Writer& writer) {
     write_plan(writer, message.plan);
     writer.u64(message.element_rows);
     writer.u64(message.element_cols);
     writer.u64(message.seq);  // before the payload (see encode_chunk)
-    writer.doubles(message.c);
+    writer.payload(message.c);
     writer.u64(message.updates_performed);
     writer.doubles(message.step_seconds);
   });
 }
 
-void encode_cancel(const CancelMessage& message, ByteBuffer& out) {
-  frame(out, [&] {
-    Writer writer(out);
-    writer.u8(static_cast<std::uint8_t>(FrameType::kCancel));
-    writer.u64(message.seq);
-  });
+void encode(const WorkerMessage& message, ByteBuffer& out) {
+  std::visit(
+      [&](const auto& held) {
+        using Held = std::decay_t<decltype(held)>;
+        if constexpr (std::is_same_v<Held, ChunkMessage>) {
+          encode_chunk(held, out);
+        } else if constexpr (std::is_same_v<Held, OperandMessage>) {
+          encode_operand(held, out);
+        } else {
+          encode_cancel(held, out);
+        }
+      },
+      message);
 }
 
 void encode_control(FrameType type, ByteBuffer& out) {
-  frame(out, [&] {
-    Writer writer(out);
-    writer.u8(static_cast<std::uint8_t>(type));
-  });
+  frame(out, type, [](Writer&) {});
 }
 
 void encode_hello(const HelloFrame& hello, ByteBuffer& out) {
-  frame(out, [&] {
-    Writer writer(out);
-    writer.u8(static_cast<std::uint8_t>(FrameType::kHello));
+  frame(out, FrameType::kHello, [&](Writer& writer) {
     writer.u32(hello.magic);
     writer.u32(hello.version);
     writer.u64(hello.token);
@@ -286,14 +331,14 @@ HelloFrame local_hello(const matrix::KernelConfig& config) {
 }
 
 void encode_error(const std::string& what, ByteBuffer& out) {
-  frame(out, [&] {
-    Writer writer(out);
-    writer.u8(static_cast<std::uint8_t>(FrameType::kError));
+  frame(out, FrameType::kError, [&](Writer& writer) {
     writer.u64(what.size());
     for (const char character : what)
       writer.u8(static_cast<std::uint8_t>(character));
   });
 }
+
+// ---- lengths ----------------------------------------------------------------
 
 std::uint64_t decode_length(const std::uint8_t* data) {
   std::uint64_t length;
@@ -302,12 +347,16 @@ std::uint64_t decode_length(const std::uint8_t* data) {
 }
 
 std::uint64_t max_frame_bytes_for(std::size_t max_payload_doubles) {
-  // An operand batch ships two payloads (A and B); 64 KiB covers every
-  // header field with room to spare.
-  const std::uint64_t bytes =
-      2 * static_cast<std::uint64_t>(max_payload_doubles) * sizeof(double) +
-      (1ull << 16);
-  return std::min(bytes, kMaxFrameBytes);
+  // A job's k-steps number at most n_ab <= P. An operand batch carries
+  // two payloads; a result one payload, plus a plan step and a step
+  // time per k-step (a chunk carries less). 64 KiB covers the fixed
+  // header fields with room to spare.
+  const std::uint64_t per_p =
+      std::max(2 * sizeof(double),
+               sizeof(double) + kPlanStepBytes + sizeof(double));
+  const std::uint64_t p =
+      std::min<std::uint64_t>(max_payload_doubles, kMaxFrameBytes / per_p);
+  return std::min<std::uint64_t>(per_p * p + (1ull << 16), kMaxFrameBytes);
 }
 
 std::uint64_t checked_frame_length(const std::uint8_t* data,
@@ -320,6 +369,8 @@ std::uint64_t checked_frame_length(const std::uint8_t* data,
   return length;
 }
 
+// ---- decoders ---------------------------------------------------------------
+
 FrameType frame_type(const std::uint8_t* body, std::size_t size) {
   require(size >= 1, "empty frame");
   const std::uint8_t type = body[0];
@@ -330,15 +381,14 @@ FrameType frame_type(const std::uint8_t* body, std::size_t size) {
 }
 
 ChunkMessage decode_chunk(const std::uint8_t* body, std::size_t size,
-                          BufferPool& pool) {
-  require(frame_type(body, size) == FrameType::kChunk, "not a chunk frame");
-  Reader reader(body + 1, size - 1);
+                          BufferPool& pool, SharedArena* arena) {
+  Reader reader = body_reader(body, size, FrameType::kChunk);
   ChunkMessage message;
   message.plan = read_plan(reader);
   message.element_rows = static_cast<std::size_t>(reader.u64());
   message.element_cols = static_cast<std::size_t>(reader.u64());
   message.seq = reader.u64();
-  message.c = reader.doubles(pool);
+  message.c = reader.payload(pool, arena);
   reader.done();
   require(message.c.size() == message.element_rows * message.element_cols,
           "chunk payload shape mismatch");
@@ -346,53 +396,55 @@ ChunkMessage decode_chunk(const std::uint8_t* body, std::size_t size,
 }
 
 OperandMessage decode_operand(const std::uint8_t* body, std::size_t size,
-                              BufferPool& pool) {
-  require(frame_type(body, size) == FrameType::kOperand,
-          "not an operand frame");
-  Reader reader(body + 1, size - 1);
+                              BufferPool& pool, SharedArena* arena) {
+  Reader reader = body_reader(body, size, FrameType::kOperand);
   OperandMessage message;
   message.step = static_cast<std::size_t>(reader.u64());
   message.k_elem_begin = static_cast<std::size_t>(reader.u64());
   message.k_elems = static_cast<std::size_t>(reader.u64());
-  message.a = reader.doubles(pool);
-  message.b = reader.doubles(pool);
+  message.a = reader.payload(pool, arena);
+  message.b = reader.payload(pool, arena);
   reader.done();
   return message;
 }
 
 ResultMessage decode_result(const std::uint8_t* body, std::size_t size,
-                            BufferPool& pool) {
-  require(frame_type(body, size) == FrameType::kResult,
-          "not a result frame");
-  Reader reader(body + 1, size - 1);
+                            BufferPool& pool, SharedArena* arena) {
+  Reader reader = body_reader(body, size, FrameType::kResult);
   ResultMessage message;
   message.plan = read_plan(reader);
   message.element_rows = static_cast<std::size_t>(reader.u64());
   message.element_cols = static_cast<std::size_t>(reader.u64());
   message.seq = reader.u64();
-  message.c = reader.doubles(pool);
+  message.c = reader.payload(pool, arena);
   message.updates_performed = static_cast<std::size_t>(reader.u64());
-  message.step_seconds = reader.doubles_plain();
+  message.step_seconds = reader.doubles(nullptr);
   reader.done();
   require(message.c.size() == message.element_rows * message.element_cols,
           "result payload shape mismatch");
   return message;
 }
 
-CancelMessage decode_cancel(const std::uint8_t* body, std::size_t size) {
-  require(frame_type(body, size) == FrameType::kCancel,
-          "not a cancel frame");
-  Reader reader(body + 1, size - 1);
-  CancelMessage message;
-  message.seq = reader.u64();
-  reader.done();
-  return message;
+std::optional<WorkerMessage> decode_inbound(const std::uint8_t* body,
+                                            std::size_t size,
+                                            BufferPool& pool,
+                                            SharedArena* arena) {
+  switch (frame_type(body, size)) {
+    case FrameType::kChunk:
+      return decode_chunk(body, size, pool, arena);
+    case FrameType::kOperand:
+      return decode_operand(body, size, pool, arena);
+    case FrameType::kCancel:
+      return decode_cancel(body, size);
+    case FrameType::kGoodbye:
+      return std::nullopt;
+    default:
+      throw std::runtime_error("unexpected inbound frame type");
+  }
 }
 
 HelloFrame decode_hello(const std::uint8_t* body, std::size_t size) {
-  require(frame_type(body, size) == FrameType::kHello, "not a hello frame");
-  Reader reader(body, size);
-  reader.u8();  // frame type, already validated
+  Reader reader = body_reader(body, size, FrameType::kHello);
   HelloFrame hello;
   // Identity gates layout: magic first (is this an hmxp worker at
   // all?), version second (does it speak THIS frame layout?), and only
@@ -422,114 +474,8 @@ HelloFrame decode_hello(const std::uint8_t* body, std::size_t size) {
   return hello;
 }
 
-// ---- descriptor frames (shm transport) --------------------------------------
-
-namespace {
-
-void require_arena_payload(const Payload& payload, const char* what) {
-  if (!payload.in_arena())
-    throw std::logic_error(std::string("shm frame payload not in arena: ") +
-                           what);
-}
-
-}  // namespace
-
-void encode_chunk_ref(const ChunkMessage& message, ByteBuffer& out) {
-  require_arena_payload(message.c, "chunk C");
-  frame(out, [&] {
-    Writer writer(out);
-    writer.u8(static_cast<std::uint8_t>(FrameType::kChunkRef));
-    write_plan(writer, message.plan);
-    writer.u64(message.element_rows);
-    writer.u64(message.element_cols);
-    writer.u64(message.seq);  // before the slot ref (see encode_chunk)
-    writer.slot_ref(message.c);
-  });
-}
-
-void encode_operand_ref(const OperandMessage& message, ByteBuffer& out) {
-  require_arena_payload(message.a, "operand A");
-  require_arena_payload(message.b, "operand B");
-  frame(out, [&] {
-    Writer writer(out);
-    writer.u8(static_cast<std::uint8_t>(FrameType::kOperandRef));
-    writer.u64(message.step);
-    writer.u64(message.k_elem_begin);
-    writer.u64(message.k_elems);
-    writer.slot_ref(message.a);
-    writer.slot_ref(message.b);
-  });
-}
-
-void encode_result_ref(const ResultMessage& message, ByteBuffer& out) {
-  require_arena_payload(message.c, "result C");
-  frame(out, [&] {
-    Writer writer(out);
-    writer.u8(static_cast<std::uint8_t>(FrameType::kResultRef));
-    write_plan(writer, message.plan);
-    writer.u64(message.element_rows);
-    writer.u64(message.element_cols);
-    writer.u64(message.seq);  // before the slot ref (see encode_chunk)
-    writer.slot_ref(message.c);
-    writer.u64(message.updates_performed);
-    writer.doubles(message.step_seconds);
-  });
-}
-
-ChunkMessage decode_chunk_ref(const std::uint8_t* body, std::size_t size,
-                              SharedArena& arena) {
-  require(frame_type(body, size) == FrameType::kChunkRef,
-          "not a chunk-ref frame");
-  Reader reader(body + 1, size - 1);
-  ChunkMessage message;
-  message.plan = read_plan(reader);
-  message.element_rows = static_cast<std::size_t>(reader.u64());
-  message.element_cols = static_cast<std::size_t>(reader.u64());
-  message.seq = reader.u64();
-  message.c = reader.slot_ref(arena);
-  reader.done();
-  require(message.c.size() == message.element_rows * message.element_cols,
-          "chunk payload shape mismatch");
-  return message;
-}
-
-OperandMessage decode_operand_ref(const std::uint8_t* body, std::size_t size,
-                                  SharedArena& arena) {
-  require(frame_type(body, size) == FrameType::kOperandRef,
-          "not an operand-ref frame");
-  Reader reader(body + 1, size - 1);
-  OperandMessage message;
-  message.step = static_cast<std::size_t>(reader.u64());
-  message.k_elem_begin = static_cast<std::size_t>(reader.u64());
-  message.k_elems = static_cast<std::size_t>(reader.u64());
-  message.a = reader.slot_ref(arena);
-  message.b = reader.slot_ref(arena);
-  reader.done();
-  return message;
-}
-
-ResultMessage decode_result_ref(const std::uint8_t* body, std::size_t size,
-                                SharedArena& arena) {
-  require(frame_type(body, size) == FrameType::kResultRef,
-          "not a result-ref frame");
-  Reader reader(body + 1, size - 1);
-  ResultMessage message;
-  message.plan = read_plan(reader);
-  message.element_rows = static_cast<std::size_t>(reader.u64());
-  message.element_cols = static_cast<std::size_t>(reader.u64());
-  message.seq = reader.u64();
-  message.c = reader.slot_ref(arena);
-  message.updates_performed = static_cast<std::size_t>(reader.u64());
-  message.step_seconds = reader.doubles_plain();
-  reader.done();
-  require(message.c.size() == message.element_rows * message.element_cols,
-          "result payload shape mismatch");
-  return message;
-}
-
 std::string decode_error(const std::uint8_t* body, std::size_t size) {
-  require(frame_type(body, size) == FrameType::kError, "not an error frame");
-  Reader reader(body + 1, size - 1);
+  Reader reader = body_reader(body, size, FrameType::kError);
   const std::uint64_t length = reader.u64();
   require(length == size - 1 - sizeof(std::uint64_t), "error frame size");
   std::string what;

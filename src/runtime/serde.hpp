@@ -1,26 +1,34 @@
-// Frame serialization for every worker socket and ring: the stream
-// transport's data plane (socketpair and loopback-TCP workers), the shm
-// transport's descriptor frames, and the handshake and death notices of
-// every forked worker.
+// The one frame format of every forked worker's pipe: the stream
+// transport's sockets (socketpair and loopback TCP), the shm transport's
+// rings, and the handshake and death notices on every worker socket.
 //
-// Every message is one length-prefixed frame:
+//   [u64 length][u8 FrameType][fields...]
 //
-//   [u64 length][u8 FrameType][payload...]
+// `length` counts everything after itself. Each payload field (a chunk's
+// C, an operand batch's A and B, a result's C) starts with a home tag:
 //
-// where `length` counts everything after itself (type byte included).
+//   [u8 0][u64 n][n doubles]  inline: an owned vector, or a window the
+//                             master lent, written row by row
+//   [u8 1][u64 slot][u64 n]   a slot of the shm fleet's SharedArena
+//
+// The encoders pick the home from the payload. Inline payloads decode
+// into vectors of the caller's BufferPool, so a steady-state master
+// deserializes results without allocating; a slot reference decodes into
+// a view of the same shared slot, and is corrupt without an arena.
 // Integers and doubles are host-endian raw bytes: both ends of every
-// stream are the same machine by construction (a cross-machine MPI/ssh
-// transport would pin endianness here and change nothing else).
+// pipe are the same machine by construction.
 //
-// The encoders take a payload in any home: a window the master lent is
-// written row by row straight into the frame, byte for byte what its
-// dense copy would encode to. Decoded payloads are dense element
-// vectors checked out of the caller's BufferPool, so a steady-state
-// master deserializes results without allocating.
+// Protocol v3. A run's frame ceiling (max_frame_bytes_for) follows from
+// its largest payload P: a job has at most n_ab <= P k-steps, so no
+// frame exceeds a result -- one payload plus a 32 B plan step and an 8 B
+// step time per k-step -- or an operand batch of two payloads, plus
+// 64 KiB of header slack.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,15 +46,9 @@ enum class FrameType : std::uint8_t {
   kCredit = 4,   // worker -> master: one inbox slot freed (empty payload)
   kHello = 5,    // both ways: handshake (worker hello, master ack)
   kError = 6,    // death notice / handshake rejection with the what() text
-  // Descriptor twins for the zero-copy shm transport: the same message
-  // metadata, but payloads are (arena slot, length) references into the
-  // run's SharedArena instead of inline bytes.
-  kChunkRef = 7,    // master -> worker: ChunkMessage, C in an arena slot
-  kOperandRef = 8,  // master -> worker: OperandMessage, A/B in arena slots
-  kResultRef = 9,   // worker -> master: ResultMessage, C in an arena slot
-  kCancel = 10,     // master -> worker: CancelMessage (seq only, no payload)
-  kGoodbye = 11,    // master -> worker: clean shutdown (an EOF without a
-                    // goodbye means the CONNECTION died)
+  kCancel = 7,   // master -> worker: CancelMessage (seq only, no payload)
+  kGoodbye = 8,  // master -> worker: clean shutdown (an EOF without a
+                 // goodbye means the CONNECTION died)
 };
 
 using ByteBuffer = std::vector<std::uint8_t>;
@@ -60,11 +62,11 @@ inline constexpr std::size_t kLengthBytes = sizeof(std::uint64_t);
 inline constexpr std::uint64_t kMaxFrameBytes = 1ull << 40;
 
 /// The largest legitimate frame for a run whose biggest single payload
-/// is `max_payload_doubles` (from the partition geometry): one operand
-/// batch ships TWO payloads (A and B), plus generous header slack.
-/// Every transport derives its per-endpoint frame limit here, so a
-/// corrupt 8-byte length prefix can never drive an allocation beyond
-/// what the run could legitimately ship.
+/// is `max_payload_doubles` (from the partition geometry): see the top
+/// of this file. Every pipe -- socket or ring, either direction --
+/// derives its frame limit here, so a corrupt 8-byte length prefix can
+/// never drive an allocation beyond what the run could legitimately
+/// ship.
 std::uint64_t max_frame_bytes_for(std::size_t max_payload_doubles);
 
 /// Decodes and VALIDATES a length prefix: throws std::runtime_error
@@ -74,13 +76,42 @@ std::uint64_t max_frame_bytes_for(std::size_t max_payload_doubles);
 std::uint64_t checked_frame_length(const std::uint8_t* data,
                                    std::uint64_t limit);
 
-/// Appends a complete frame (length prefix + type + payload) for the
+/// Cuts one byte pipe -- a socket or an shm ring -- into frames. Bytes
+/// go in as they arrive, written in place (reserve, then commit what
+/// landed); whole frames come out in order through next(), while the
+/// bytes of an incomplete frame wait for the rest. No frame is ever
+/// handed out before its last byte arrived.
+class FrameSplitter {
+ public:
+  /// `limit` bounds every frame's declared length.
+  explicit FrameSplitter(std::uint64_t limit) : limit_(limit) {}
+
+  /// Room for `count` more bytes at the end of the buffer; commit(n)
+  /// keeps the first n written there. Invalidates the last frame.
+  std::uint8_t* reserve(std::size_t count);
+  void commit(std::size_t count) { end_ += count; }
+  /// The next whole frame's body (type byte onward), valid until the
+  /// next reserve(); nullopt while none is complete. Throws
+  /// std::runtime_error on a corrupt length prefix.
+  std::optional<std::span<const std::uint8_t>> next();
+  /// Drops every buffered byte.
+  void clear() { begin_ = end_ = 0; }
+
+ private:
+  ByteBuffer bytes_;
+  std::size_t begin_ = 0;  // first byte not yet handed out
+  std::size_t end_ = 0;    // end of the committed bytes
+  std::uint64_t limit_;
+};
+
+/// Appends a complete frame (length prefix + type + fields) for the
 /// message to `out`. The encoders never clear `out`, so a caller can
 /// batch frames into one write.
 void encode_chunk(const ChunkMessage& message, ByteBuffer& out);
 void encode_operand(const OperandMessage& message, ByteBuffer& out);
 void encode_result(const ResultMessage& message, ByteBuffer& out);
-void encode_cancel(const CancelMessage& message, ByteBuffer& out);
+/// A chunk, operand batch or cancel: whichever `message` holds.
+void encode(const WorkerMessage& message, ByteBuffer& out);
 /// Payload-free control frame (kCredit, kGoodbye).
 void encode_control(FrameType type, ByteBuffer& out);
 
@@ -89,7 +120,7 @@ void encode_control(FrameType type, ByteBuffer& out);
 /// wire-visible change; a mismatched peer then gets one clean error
 /// naming both versions instead of silently misparsing the next frame.
 inline constexpr std::uint32_t kProtocolMagic = 0x50584d48;  // "HMXP"
-inline constexpr std::uint32_t kProtocolVersion = 2;
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /// Bootstrap handshake payload: protocol identity (magic + version),
 /// the worker's identity token and advertised host resources, and its
@@ -143,43 +174,31 @@ void encode_error(const std::string& what, ByteBuffer& out);
 /// checked_frame_length anywhere the value sizes an allocation.
 std::uint64_t decode_length(const std::uint8_t* data);
 
-/// Decoders for one frame BODY (type byte + payload, i.e. `length`
-/// bytes starting after the prefix). They validate the type byte and
-/// every interior length; a truncated or corrupt frame throws
-/// std::runtime_error. Element vectors are acquired from `pool`.
+/// Decoders for one frame BODY (type byte + fields, i.e. `length`
+/// bytes starting after the prefix). They validate the type byte, every
+/// interior length and every home tag; a truncated or corrupt frame
+/// throws std::runtime_error, and so does a slot reference when `arena`
+/// is null. Inline payloads are acquired from `pool`; a slot reference
+/// is checked against `arena` and decodes into a view that OWNS the
+/// slot (Payload releases it), so the encoding side detaches its own
+/// view once the frame is on its way.
 ChunkMessage decode_chunk(const std::uint8_t* body, std::size_t size,
-                          BufferPool& pool);
+                          BufferPool& pool, SharedArena* arena = nullptr);
 OperandMessage decode_operand(const std::uint8_t* body, std::size_t size,
-                              BufferPool& pool);
+                              BufferPool& pool, SharedArena* arena = nullptr);
 ResultMessage decode_result(const std::uint8_t* body, std::size_t size,
-                            BufferPool& pool);
-CancelMessage decode_cancel(const std::uint8_t* body, std::size_t size);
+                            BufferPool& pool, SharedArena* arena = nullptr);
+/// A worker's inbound frame: the chunk, operand batch or cancel it
+/// carries, or nullopt at the master's kGoodbye. Any other type throws.
+std::optional<WorkerMessage> decode_inbound(const std::uint8_t* body,
+                                            std::size_t size,
+                                            BufferPool& pool,
+                                            SharedArena* arena = nullptr);
 /// Type byte of a frame body (size must be >= 1).
 FrameType frame_type(const std::uint8_t* body, std::size_t size);
 /// Kernel configuration of a kHello body.
 HelloFrame decode_hello(const std::uint8_t* body, std::size_t size);
 /// Exception text of a kError body.
 std::string decode_error(const std::uint8_t* body, std::size_t size);
-
-// ---- descriptor frames (shm transport) --------------------------------------
-//
-// The encoders require every payload to be an arena view (the shm
-// transport packs windows into slots before encoding) and write only
-// (slot, length) pairs; the decoders validate the slot index and length
-// against `arena` and hand back messages whose payloads are views into
-// the SAME shared slots -- no payload byte is ever copied. A decoded
-// message OWNS its slots (Payload releases them back to the arena), so
-// the encoder side must detach after shipping the frame.
-
-void encode_chunk_ref(const ChunkMessage& message, ByteBuffer& out);
-void encode_operand_ref(const OperandMessage& message, ByteBuffer& out);
-void encode_result_ref(const ResultMessage& message, ByteBuffer& out);
-
-ChunkMessage decode_chunk_ref(const std::uint8_t* body, std::size_t size,
-                              SharedArena& arena);
-OperandMessage decode_operand_ref(const std::uint8_t* body, std::size_t size,
-                                  SharedArena& arena);
-ResultMessage decode_result_ref(const std::uint8_t* body, std::size_t size,
-                                SharedArena& arena);
 
 }  // namespace hmxp::runtime::serde

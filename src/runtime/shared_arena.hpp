@@ -2,8 +2,8 @@
 // mmap'd MAP_SHARED | MAP_ANONYMOUS region created by the master BEFORE
 // it forks its workers, so every child inherits the same mapping at the
 // same address. Operand and result element windows live in fixed-size
-// 64-byte-aligned slots inside the region; control frames on the
-// socketpair then carry (slot, length) descriptors instead of payload
+// 64-byte-aligned slots inside the region; the frames on the shm rings
+// then name a slot (serde's arena home) instead of carrying payload
 // bytes -- the serde and kernel-socket copies of the stream transport
 // disappear from the hot path entirely.
 //

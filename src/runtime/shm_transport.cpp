@@ -7,16 +7,17 @@
 // MAP_SHARED structures every child inherits at the same virtual
 // address: a SharedArena of fixed 64-byte-aligned payload slots, a
 // SharedAckBoard of per-worker dequeue counters (the credit scheme
-// reduced to one atomic add), and a pair of SPSC frame rings per worker
-// (inbox and outbox) with futex doorbells. The endpoint packs each C,
-// A and B window the master lends straight into an arena slot and
-// commits a descriptor frame -- (slot, length) -- to the worker's
-// inbox ring with a single cursor bump. The worker computes directly
-// from -- and into -- the shared slots and hands the C slot back by
-// descriptor through its outbox ring. Zero payload copies AND zero
-// syscalls per frame on the hot path; futexes fire only when a side is
-// actually parked. The socketpair(2) per child remains, but only as
-// the bootstrap and death channel: the hello -> ack handshake, a dying
+// reduced to one atomic add), and a pair of SPSC byte rings per worker
+// (inbox and outbox) with futex doorbells. The rings carry the frame
+// stream a socket would, in the one serde format: the endpoint packs
+// each C, A and B window the master lends into an arena slot, and the
+// frame names the slot instead of carrying its bytes. The worker
+// computes directly from -- and into -- the shared slots and names its
+// C slot in the result it writes to its outbox ring; a kGoodbye frame
+// on the inbox ring ends it. Zero payload copies AND zero syscalls per
+// frame on the hot path; futexes fire only when a side is actually
+// parked. The socketpair(2) per child remains, but only as the
+// bootstrap and death channel: the hello -> ack handshake, a dying
 // worker's error notice, and the EOF that announces a SIGKILL.
 //
 // Slot accounting is the run's second backpressure rule (alongside the
@@ -37,8 +38,8 @@
 #include <memory>
 #include <new>
 #include <stdexcept>
+#include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include <poll.h>
@@ -67,12 +68,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using serde::ByteBuffer;
 using serde::FrameType;
-
-/// The shm socket carries ONLY the handshake and death-notice frames
-/// (payloads ride the arena, descriptors the rings), so its frame
-/// budget is tiny: anything above this is protocol corruption, and the
-/// tight bound means a corrupt prefix can never drive a big allocation.
-constexpr std::uint64_t kBootstrapFrameBytes = 1ull << 20;
 
 /// Arena slots per worker. Worst case per worker is ~7 outstanding
 /// (the resident C slot plus a full credit window of operand pairs);
@@ -106,10 +101,6 @@ void futex_wait_u32(std::atomic<std::uint32_t>* word, std::uint32_t seen,
 }
 void futex_wake_u32(std::atomic<std::uint32_t>*) {}
 #endif
-
-double seconds_since(Clock::time_point begin) {
-  return std::chrono::duration<double>(Clock::now() - begin).count();
-}
 
 // ---- shared-memory credit board ---------------------------------------------
 
@@ -259,29 +250,25 @@ class SharedAckBoard {
   std::size_t lanes_ = 0;
 };
 
-// ---- shared-memory SPSC frame rings -----------------------------------------
+// ---- shared-memory SPSC byte rings ------------------------------------------
 
-/// Byte capacity of one ring direction. Descriptor frames are O(100)
-/// bytes -- O(plan steps) at worst -- and the credit window keeps only
-/// a handful in flight, so 16 KiB never fills in practice; both sides
-/// still handle a full (or empty) ring by parking on the cursors
-/// below. Kept small on purpose: every ring page is faulted in fresh
-/// each run, so capacity is paid for in page faults, not just address
-/// space.
+/// Byte capacity of one ring direction. With payloads in the arena a
+/// frame is O(100) bytes -- O(plan steps) for chunks and results -- so
+/// 16 KiB rarely fills, and a longer frame streams through in parts.
+/// Kept small on purpose: every ring page is faulted in fresh each run,
+/// so capacity is paid for in page faults, not just address space.
 constexpr std::size_t kRingBytes = std::size_t{1} << 14;
 
-/// Single-producer single-consumer byte ring in MAP_SHARED memory: the
-/// steady-state data plane of the shm transport. Frames are the serde
-/// wire format unchanged ([u64 length][body]); a frame becomes visible
-/// through ONE seq_cst bump of `head` after its bytes are in place, so
-/// the consumer observes whole frames or nothing -- a producer
-/// SIGKILL'd mid-copy loses only the uncommitted frame and corrupts
-/// nothing. Cursors run free (offset = cursor & (kRingBytes - 1)) and
-/// double as futex words: a starved side advertises itself via its
+/// Single-producer single-consumer byte pipe in MAP_SHARED memory: the
+/// steady-state data plane of the shm transport. It carries the frame
+/// stream exactly as a socket does -- the producer writes what fits and
+/// parks for the rest -- and the consumer cuts it with the same
+/// serde::FrameSplitter, so a producer SIGKILL'd mid-frame leaves an
+/// incomplete frame nobody dispatches. A kGoodbye frame ends a worker's
+/// inbox stream. Cursors run free (offset = cursor & (kRingBytes - 1))
+/// and double as futex words: a starved side advertises itself via its
 /// waiting flag and parks, and the other side issues a wake syscall
 /// only then -- the syscall count scales with stalls, not with frames.
-/// A zero-length frame is the shutdown sentinel (the serde codecs
-/// never emit one).
 struct SharedRing {
   std::atomic<std::uint32_t> head{0};          // producer commit cursor
   std::atomic<std::uint32_t> cons_waiting{0};  // consumer parked on head
@@ -291,73 +278,73 @@ struct SharedRing {
   std::uint8_t pad1[56];
   std::uint8_t data[kRingBytes];
 
-  /// Appends one complete frame; false when the ring lacks room (the
-  /// caller parks on `tail` and retries).
-  bool try_push(const std::uint8_t* frame, std::size_t size) {
-    HMXP_CHECK(size <= kRingBytes, "frame exceeds the ring capacity");
+  /// Producer: appends as many of `size` bytes as fit; returns how many.
+  std::size_t write(const std::uint8_t* bytes, std::size_t size) {
     const std::uint32_t produced = head.load(std::memory_order_relaxed);
-    const std::uint32_t consumed = tail.load(std::memory_order_acquire);
-    if (kRingBytes - static_cast<std::size_t>(produced - consumed) < size)
-      return false;
-    copy_in(produced, frame, size);
-    head.store(produced + static_cast<std::uint32_t>(size),
+    const std::size_t count = std::min(size, free_bytes(produced));
+    if (count == 0) return 0;
+    copy_in(produced, bytes, count);
+    head.store(produced + static_cast<std::uint32_t>(count),
                std::memory_order_seq_cst);
-    if (cons_waiting.load(std::memory_order_acquire)) futex_wake_u32(&head);
-    return true;
+    if (cons_waiting.load(std::memory_order_seq_cst)) futex_wake_u32(&head);
+    return count;
+  }
+  /// Producer: appends all `size` bytes, or none when they do not fit.
+  bool write_all(const std::uint8_t* bytes, std::size_t size) {
+    return free_bytes(head.load(std::memory_order_relaxed)) >= size &&
+           write(bytes, size) == size;
   }
 
-  /// Pops the next whole frame into `out` with the length prefix
-  /// stripped (a popped sentinel leaves `out` empty); false when the
-  /// ring has nothing committed.
-  bool try_pop(std::vector<std::uint8_t>& out) {
+  /// Consumer: moves every committed byte into `rx`; false when there
+  /// was none.
+  bool read_into(serde::FrameSplitter& rx) {
     const std::uint32_t consumed = tail.load(std::memory_order_relaxed);
     const std::uint32_t produced = head.load(std::memory_order_acquire);
-    if (produced == consumed) return false;
-    std::uint8_t prefix[serde::kLengthBytes];
-    HMXP_CHECK(static_cast<std::size_t>(produced - consumed) >= sizeof prefix,
-               "torn ring frame");
-    copy_out(consumed, prefix, sizeof prefix);
-    const std::uint64_t length = serde::decode_length(prefix);
-    HMXP_CHECK(sizeof prefix + length <=
-                   static_cast<std::size_t>(produced - consumed),
-               "torn ring frame");
-    out.resize(static_cast<std::size_t>(length));
-    copy_out(consumed + sizeof prefix, out.data(), out.size());
-    tail.store(consumed + static_cast<std::uint32_t>(sizeof prefix + length),
-               std::memory_order_seq_cst);
-    if (prod_waiting.load(std::memory_order_acquire)) futex_wake_u32(&tail);
+    const std::size_t count = produced - consumed;
+    if (count == 0) return false;
+    copy_out(consumed, rx.reserve(count), count);
+    rx.commit(count);
+    tail.store(produced, std::memory_order_seq_cst);
+    if (prod_waiting.load(std::memory_order_seq_cst)) futex_wake_u32(&tail);
     return true;
   }
 
-  /// Parks the consumer until `head` moves past `seen` (or timeout; the
-  /// seq_cst store/load pairing with try_push's commit makes the park
+  /// Parks the consumer while the ring is empty (or until timeout; the
+  /// seq_cst store/load pairing with write's commit makes the park
   /// lose-free, exactly like SharedAckBoard::park).
-  void park_consumer(std::uint32_t seen, int timeout_ms) {
+  void park_consumer(int timeout_ms) {
     cons_waiting.store(1, std::memory_order_seq_cst);
-    if (head.load(std::memory_order_seq_cst) == seen)
-      futex_wait_u32(&head, seen, timeout_ms);
+    const std::uint32_t consumed = tail.load(std::memory_order_relaxed);
+    if (head.load(std::memory_order_seq_cst) == consumed)
+      futex_wait_u32(&head, consumed, timeout_ms);
     cons_waiting.store(0, std::memory_order_relaxed);
   }
-  /// Parks the producer until `tail` moves past `seen` (or timeout).
-  void park_producer(std::uint32_t seen, int timeout_ms) {
+  /// Parks the producer while fewer than `needed` bytes are free (or
+  /// until timeout).
+  void park_producer(std::size_t needed, int timeout_ms) {
     prod_waiting.store(1, std::memory_order_seq_cst);
-    if (tail.load(std::memory_order_seq_cst) == seen)
-      futex_wait_u32(&tail, seen, timeout_ms);
+    const std::uint32_t consumed = tail.load(std::memory_order_seq_cst);
+    if (kRingBytes - static_cast<std::uint32_t>(
+                         head.load(std::memory_order_relaxed) - consumed) <
+        needed)
+      futex_wait_u32(&tail, consumed, timeout_ms);
     prod_waiting.store(0, std::memory_order_relaxed);
   }
 
  private:
+  std::size_t free_bytes(std::uint32_t produced) const {
+    return kRingBytes - static_cast<std::size_t>(
+                            produced - tail.load(std::memory_order_acquire));
+  }
   // Wrap-aware copies; cursors are free-running so the offset math is
   // a single mask.
   void copy_in(std::uint32_t at, const std::uint8_t* src, std::size_t n) {
-    if (n == 0) return;
     const std::size_t offset = at & (kRingBytes - 1);
     const std::size_t first = std::min(n, kRingBytes - offset);
     std::memcpy(data + offset, src, first);
     std::memcpy(data, src + first, n - first);
   }
   void copy_out(std::uint32_t at, std::uint8_t* dst, std::size_t n) const {
-    if (n == 0) return;
     const std::size_t offset = at & (kRingBytes - 1);
     const std::size_t first = std::min(n, kRingBytes - offset);
     std::memcpy(dst, data + offset, first);
@@ -367,8 +354,8 @@ struct SharedRing {
 
 /// Both directions of one worker's data plane.
 struct RingChannel {
-  SharedRing inbox;   // master -> worker: chunk / operand descriptors
-  SharedRing outbox;  // worker -> master: result descriptors
+  SharedRing inbox;   // master -> worker: chunk, operand, cancel, goodbye
+  SharedRing outbox;  // worker -> master: results
 };
 
 /// The MAP_SHARED block holding every worker's ring pair. Created
@@ -411,86 +398,89 @@ class SharedRingBlock {
 
 // ---- child side -------------------------------------------------------------
 
-/// The worker's face of the shm data plane: descriptor frames popped
-/// from the inbox ring and pushed to the outbox ring, payloads resolved
+/// The worker's face of the shm data plane: frames read from the inbox
+/// ring and written to the outbox ring, slot references resolved
 /// against the inherited arena -- zero syscalls per frame unless a side
-/// is parked. Lives entirely in the child process (which shares the
-/// mapped pages, not the heap).
+/// is parked. The cancel lookahead (try_receive) may buffer the head of
+/// a frame still arriving, but only a whole frame is ever decoded. The
+/// inbox stream ends ONLY at the master's kGoodbye, which is latched like
+/// the stream worker's: the lookahead may be the one to read it. Lives
+/// entirely in the child process (which shares the mapped pages, not the
+/// heap).
 class ShmWorkerPort final : public WorkerPort {
  public:
   ShmWorkerPort(RingChannel* rings, SharedArena* arena, SharedAckBoard* acks,
-                std::size_t index)
-      : rings_(rings), arena_(arena), acks_(acks), index_(index) {}
+                std::size_t index, BufferPool* pool,
+                std::uint64_t max_frame_bytes)
+      : rings_(rings),
+        arena_(arena),
+        acks_(acks),
+        index_(index),
+        pool_(pool),
+        rx_(max_frame_bytes) {}
 
   std::optional<WorkerMessage> receive() override {
-    if (done_) return std::nullopt;
-    SharedRing& inbox = rings_->inbox;
-    while (!inbox.try_pop(rx_)) {
-      // Empty inbox: park on the head cursor. The bound is only a
-      // belt -- PDEATHSIG reaps an orphan whose master crashed -- and
-      // a spurious lap costs two shared-memory loads.
-      inbox.park_consumer(inbox.head.load(std::memory_order_acquire),
-                          /*timeout_ms=*/100);
-    }
-    return decode_inbound();
+    std::optional<std::span<const std::uint8_t>> frame;
+    // No whole frame yet: park on the head cursor. The bound is only a
+    // belt -- PDEATHSIG reaps an orphan whose master crashed -- and a
+    // spurious lap costs two shared-memory loads.
+    while (!goodbye_ && !(frame = next_frame()))
+      rings_->inbox.park_consumer(/*timeout_ms=*/100);
+    return take(frame);
   }
 
   std::optional<WorkerMessage> try_receive() override {
-    // The lookahead may pop the shutdown sentinel; done_ keeps it
-    // observed (the sentinel is one-shot, unlike a closed socket), so
-    // the follow-up blocking receive() still exits cleanly.
-    if (done_) return std::nullopt;
-    if (!rings_->inbox.try_pop(rx_)) return std::nullopt;
-    return decode_inbound();
+    if (goodbye_) return std::nullopt;
+    return take(next_frame());
   }
 
   void send(ResultMessage result) override {
     tx_.clear();
-    serde::encode_result_ref(result, tx_);
+    serde::encode_result(result, tx_);
     SharedRing& outbox = rings_->outbox;
-    while (!outbox.try_push(tx_.data(), tx_.size())) {
-      outbox.park_producer(outbox.tail.load(std::memory_order_acquire),
-                           /*timeout_ms=*/100);
+    for (std::size_t done = 0;;) {
+      done += outbox.write(tx_.data() + done, tx_.size() - done);
+      acks_->ring();  // a master waiting on all its workers reads it
+      if (done == tx_.size()) break;
+      outbox.park_producer(/*needed=*/1, /*timeout_ms=*/100);
     }
-    // The frame is committed: the C slot belongs to the master now.
-    // Detach AFTER the push so an unwind mid-send still releases the
-    // slot (the master's crash reclamation tolerates the benign race).
+    // The frame is whole in the ring: the C slot belongs to the master
+    // now. Detach AFTER the write so an unwind mid-send still releases
+    // the slot (the master's crash reclamation tolerates the benign
+    // race).
     result.c.detach();
-    acks_->ring();
   }
 
  private:
-  /// Decodes the frame just popped into rx_ (shared tail of receive and
-  /// try_receive): credit returned before computing, like a channel pop
-  /// -- a single atomic add the master reads through shared memory.
-  std::optional<WorkerMessage> decode_inbound() {
-    if (rx_.empty()) {  // shutdown sentinel: done for good
-      done_ = true;
-      return std::nullopt;
-    }
-    acks_->add(index_);
-    switch (serde::frame_type(rx_.data(), rx_.size())) {
-      case FrameType::kChunkRef:
-        return WorkerMessage(
-            serde::decode_chunk_ref(rx_.data(), rx_.size(), *arena_));
-      case FrameType::kOperandRef:
-        return WorkerMessage(
-            serde::decode_operand_ref(rx_.data(), rx_.size(), *arena_));
-      case FrameType::kCancel:
-        // Cancels ride the ring inline (seq only, no arena slot).
-        return WorkerMessage(serde::decode_cancel(rx_.data(), rx_.size()));
-      default:
-        throw std::runtime_error("unexpected inbound frame type");
-    }
+  /// The next whole frame the inbox delivered, if any.
+  std::optional<std::span<const std::uint8_t>> next_frame() {
+    rings_->inbox.read_into(rx_);
+    return rx_.next();
+  }
+
+  /// Decodes `frame` (shared tail of receive and try_receive): credit
+  /// returned before computing, like a channel pop -- a single atomic
+  /// add the master reads through shared memory.
+  std::optional<WorkerMessage> take(
+      std::optional<std::span<const std::uint8_t>> frame) {
+    if (!frame) return std::nullopt;
+    auto message =
+        serde::decode_inbound(frame->data(), frame->size(), *pool_, arena_);
+    if (message)
+      acks_->add(index_);
+    else
+      goodbye_ = true;
+    return message;
   }
 
   RingChannel* rings_;
   SharedArena* arena_;
   SharedAckBoard* acks_;
   std::size_t index_;
-  std::vector<std::uint8_t> rx_;
+  BufferPool* pool_;
+  serde::FrameSplitter rx_;
   ByteBuffer tx_;
-  bool done_ = false;
+  bool goodbye_ = false;
 };
 
 /// Child-process entry: handshake over the socketpair, then serve the
@@ -502,14 +492,15 @@ class ShmWorkerPort final : public WorkerPort {
                             const WorkerContext& context, RingChannel* rings,
                             SharedArena* arena, SharedAckBoard* acks,
                             std::size_t index,
-                            const matrix::KernelConfig& config) {
+                            const matrix::KernelConfig& config,
+                            std::uint64_t max_frame_bytes) {
   run_worker_child(
       config,
       [&](BufferPool& pool) {
         // The private pool only ever serves scratch buffers (the
         // slowdown emulation): every protocol payload lives in the arena.
         handshake(fd, token);
-        ShmWorkerPort port(rings, arena, acks, index);
+        ShmWorkerPort port(rings, arena, acks, index, &pool, max_frame_bytes);
         worker_main(context, port, pool);
       },
       [&](const std::string& what) {
@@ -525,26 +516,25 @@ class ShmEndpoint final : public ForkedEndpoint {
  public:
   ShmEndpoint(int index, pid_t pid, std::uint64_t token, std::size_t capacity,
               const serde::HelloFrame& expected_hello, RingChannel* rings,
-              SharedArena* arena, SharedAckBoard* acks,
-              TransportStats* stats)
-      : ForkedEndpoint(index, pid, token, expected_hello, stats,
-                       kBootstrapFrameBytes),
+              SharedArena* arena, SharedAckBoard* acks, BufferPool* pool,
+              TransportStats* stats, std::uint64_t max_frame_bytes)
+      : ForkedEndpoint(index, pid, token, expected_hello, stats, pool,
+                       max_frame_bytes, arena),
         capacity_(capacity),
         rings_(rings),
-        arena_(arena),
-        acks_(acks) {}
+        acks_(acks),
+        ring_rx_(max_frame_bytes) {}
 
   // ----- Endpoint -----
   void send(WorkerMessage message) override {
     throw_if_dead();
     // The lent windows move into arena slots first: that packing is the
     // only copy a payload ever sees on this transport.
-    if (auto* chunk = std::get_if<ChunkMessage>(&message)) {
-      chunk->c = pack(chunk->c);
-    } else if (auto* operands = std::get_if<OperandMessage>(&message)) {
-      operands->a = pack(operands->a);
-      operands->b = pack(operands->b);
-    }
+    std::size_t payload_bytes = 0;
+    for_each_payload(message, [&](Payload& payload) {
+      payload = pack(payload);
+      payload_bytes += payload.size() * sizeof(double);
+    });
     // The bounded-inbox rule, checked BEFORE the frame is committed:
     // at most `capacity_` frames may sit unacknowledged in the
     // worker's inbox. Acks arrive through the shared board, so a
@@ -573,33 +563,14 @@ class ShmEndpoint final : public ForkedEndpoint {
       throw_if_dead();
     }
 
-    const auto serde_begin = Clock::now();
-    tx_.clear();
-    std::size_t payload_bytes = 0;
-    if (auto* chunk = std::get_if<ChunkMessage>(&message)) {
-      serde::encode_chunk_ref(*chunk, tx_);
-      payload_bytes = chunk->c.size() * sizeof(double);
-    } else if (auto* operands = std::get_if<OperandMessage>(&message)) {
-      serde::encode_operand_ref(*operands, tx_);
-      payload_bytes =
-          (operands->a.size() + operands->b.size()) * sizeof(double);
-    } else {
-      // CancelMessage: an inline descriptor frame, no arena slot.
-      serde::encode_cancel(std::get<CancelMessage>(message), tx_);
-    }
-    stats_->serde_seconds += seconds_since(serde_begin);
+    encode(message);
 
-    // Detach BEFORE the commit: once the cursor bump lands the worker
-    // may decode, use and release the slots at any moment, so the
-    // master must have relinquished them already. If the worker dies
-    // with the frame unread, drain()'s owner-tag sweep reclaims them.
-    if (auto* chunk = std::get_if<ChunkMessage>(&message)) {
-      chunk->c.detach();
-    } else if (auto* operands = std::get_if<OperandMessage>(&message)) {
-      operands->a.detach();
-      operands->b.detach();
-    }
-    // CancelMessage holds no slots: nothing to detach.
+    // Detach BEFORE the frame goes out: once its last byte lands the
+    // worker may decode, use and release the slots at any moment, so
+    // the master must have relinquished them already. If the worker
+    // dies with the frame unread, drain()'s owner-tag sweep reclaims
+    // them.
+    for_each_payload(message, [](Payload& payload) { payload.detach(); });
     push_inbox();
     ++sent_;
     ++stats_->messages_sent;
@@ -613,9 +584,9 @@ class ShmEndpoint final : public ForkedEndpoint {
            capacity_;
   }
 
-  /// Whether `await` holds: a result frame committed to the outbox
-  /// ring (or already decoded), or a free inbox slot -- or the worker
-  /// died, or raised its rx hint for a death notice on the socket.
+  /// Whether `await` holds: bytes in the outbox ring (or a result
+  /// already decoded), or a free inbox slot -- or the worker died, or
+  /// raised its rx hint for a death notice on the socket.
   bool holds(const Await& await) const {
     const SharedRing& outbox = rings_->outbox;
     const bool news =
@@ -644,12 +615,10 @@ class ShmEndpoint final : public ForkedEndpoint {
     pump_rings();
     gated_pump();
     while (results_.empty() && !failed()) {
-      // Park on the outbox cursor; the worker's result push wakes us.
-      // The bound exists because a SIGKILL'd child never pushes -- its
-      // EOF, found by the gated pump below, is what breaks the wait.
-      SharedRing& outbox = rings_->outbox;
-      outbox.park_consumer(outbox.head.load(std::memory_order_acquire),
-                           /*timeout_ms=*/10);
+      // Park on the outbox cursor; the worker's write wakes us. The
+      // bound exists because a SIGKILL'd child never writes -- its EOF,
+      // found by the gated pump below, is what breaks the wait.
+      rings_->outbox.park_consumer(/*timeout_ms=*/10);
       pump_rings();
       gated_pump();
     }
@@ -660,16 +629,17 @@ class ShmEndpoint final : public ForkedEndpoint {
   /// results release their slots back to the arena, then every slot
   /// still TAGGED with this worker -- inbox messages it never dequeued,
   /// the chunk it was computing into when the SIGKILL landed, a result
-  /// descriptor parsed but not yet popped -- is swept back in one pass.
+  /// it wrote only part of -- is swept back in one pass.
   /// The caller has already released any pending result it extracted
   /// from this endpoint, so the sweep cannot double-free a live slot.
   void drain(BufferPool& pool) override {
     drained_ = true;
     ForkedEndpoint::drain(pool);
+    ring_rx_.clear();
     // The rings are left untouched: frames still sitting in them
     // reference slots tagged with this worker, so the sweep below
-    // reclaims those too, and a decommissioned endpoint never pops its
-    // rings again (pump_rings guards on killed()).
+    // reclaims those too, and a decommissioned endpoint never reads its
+    // rings again (pump_rings guards on drained_).
     arena_->release_all_owned_by(static_cast<std::uint32_t>(index_));
   }
 
@@ -677,18 +647,18 @@ class ShmEndpoint final : public ForkedEndpoint {
   void begin_shutdown() noexcept {
     discarding_ = true;
     if (fd_ >= 0 && !killed() && !failed() && !drained_) {
-      // The zero-length sentinel is the ring world's half-close: the
-      // worker pops it and exits. Bounded retries -- a worker that
-      // died with a full inbox will never make room; its EOF ends the
-      // wait in finish_shutdown instead.
-      const std::uint8_t sentinel[serde::kLengthBytes] = {};
+      // The goodbye ends the worker's inbox stream, written whole or
+      // not at all. Bounded retries -- a worker that died with a full
+      // inbox will never make room; its EOF ends the wait in
+      // finish_shutdown instead.
+      tx_.clear();
+      serde::encode_control(FrameType::kGoodbye, tx_);
       SharedRing& inbox = rings_->inbox;
       for (int attempt = 0; attempt < 1000; ++attempt) {
-        if (inbox.try_push(sentinel, sizeof sentinel)) break;
+        if (inbox.write_all(tx_.data(), tx_.size())) break;
         if (failed() || eof_) break;
         pump_rings();
-        inbox.park_producer(inbox.tail.load(std::memory_order_acquire),
-                            /*timeout_ms=*/1);
+        inbox.park_producer(tx_.size(), /*timeout_ms=*/1);
       }
     }
     if (fd_ >= 0 && !killed()) ::shutdown(fd_, SHUT_WR);
@@ -731,37 +701,31 @@ class ShmEndpoint final : public ForkedEndpoint {
     }
   }
 
-  /// Commits the frame encoded in tx_ to the worker's inbox ring,
-  /// parking on the tail cursor if the ring is somehow full (the
-  /// credit window keeps it far from full in practice). Throws if the
-  /// worker is (or turns out to be) dead.
+  /// Writes the frame encoded in tx_ to the worker's inbox ring,
+  /// parking on the tail cursor whenever the ring is full (a frame
+  /// longer than the ring goes in parts, as the worker reads them).
+  /// Throws if the worker is (or turns out to be) dead.
   void push_inbox() {
     SharedRing& inbox = rings_->inbox;
-    while (!inbox.try_push(tx_.data(), tx_.size())) {
+    std::size_t done = 0;
+    while ((done += inbox.write(tx_.data() + done, tx_.size() - done)) <
+           tx_.size()) {
       throw_if_dead();
-      pump_rings();  // a worker parked pushing results cannot drain
-      inbox.park_producer(inbox.tail.load(std::memory_order_acquire),
-                          /*timeout_ms=*/10);
+      pump_rings();  // a worker parked writing results cannot read
+      inbox.park_producer(/*needed=*/1, /*timeout_ms=*/10);
       pump();  // a dead worker will never drain the ring
     }
   }
 
-  /// Drains the worker's outbox ring: every frame the worker committed
-  /// is decoded and queued (or, while discarding, dropped -- which
-  /// releases its arena slot). Two shared-memory loads when the ring
-  /// is empty; never a syscall. A decommissioned endpoint's rings are
-  /// never popped: their frames reference slots drain() already swept.
+  /// Reads the worker's outbox ring through its frame splitter: every
+  /// whole frame is delivered (while discarding, dropped -- which
+  /// releases its arena slot), an incomplete one waits for the rest.
+  /// Two shared-memory loads when the ring is empty; never a syscall. A
+  /// decommissioned endpoint's rings are never read: their frames
+  /// reference slots drain() already swept.
   void pump_rings() {
     if (killed() || drained_) return;
-    try {
-      while (rings_->outbox.try_pop(ring_rx_)) {
-        if (ring_rx_.empty()) continue;  // sentinel: never sent inbound
-        stats_->bytes_received += serde::kLengthBytes + ring_rx_.size();
-        dispatch(ring_rx_.data(), ring_rx_.size());
-      }
-    } catch (const std::exception& error) {
-      mark_failed(std::string("protocol corruption: ") + error.what());
-    }
+    if (rings_->outbox.read_into(ring_rx_)) deliver(ring_rx_);
   }
 
   /// Socket pump rate-limited to the death-detection budget: drains
@@ -784,30 +748,11 @@ class ShmEndpoint final : public ForkedEndpoint {
     pump_rings();
   }
 
-  void dispatch(const std::uint8_t* body, std::size_t size) override {
-    switch (serde::frame_type(body, size)) {
-      case FrameType::kResultRef: {
-        const auto serde_begin = Clock::now();
-        ResultMessage result = serde::decode_result_ref(body, size, *arena_);
-        stats_->serde_seconds += seconds_since(serde_begin);
-        stats_->bytes_zero_copied += result.c.size() * sizeof(double);
-        if (discarding_) break;  // Payload releases the slot right here
-        results_.push_back(std::move(result));
-        break;
-      }
-      default:
-        mark_failed("unexpected frame from worker");
-        break;
-    }
-  }
-
   std::size_t capacity_;
   std::uint64_t sent_ = 0;
   RingChannel* rings_;
-  SharedArena* arena_;
   SharedAckBoard* acks_;
-  ByteBuffer tx_;       // per-message encode scratch
-  ByteBuffer ring_rx_;  // per-frame ring pop scratch
+  serde::FrameSplitter ring_rx_;  // the outbox ring's bytes
   Clock::time_point last_pump_{};
   bool drained_ = false;
 };
@@ -816,7 +761,7 @@ class ShmTransport final : public Transport {
  public:
   ShmTransport(int workers, std::size_t inbox_capacity,
                const ExecutorOptions& options, Clock::time_point run_begin,
-               std::size_t max_payload_doubles)
+               BufferPool* pool, std::size_t max_payload_doubles)
       // The arena, ack board and rings MUST exist before the first
       // fork: MAP_SHARED pages created here are the ones every child
       // inherits.
@@ -829,6 +774,8 @@ class ShmTransport final : public Transport {
     // any fork; children re-assert and answer for exactly this state.
     const matrix::KernelConfig config = matrix::current_kernel_config();
     const serde::HelloFrame expected_hello = serde::local_hello(config);
+    const std::uint64_t max_frame_bytes =
+        serde::max_frame_bytes_for(max_payload_doubles);
 
     const auto count = static_cast<std::size_t>(workers);
     SocketPairs pairs(count);
@@ -841,11 +788,13 @@ class ShmTransport final : public Transport {
         const pid_t pid = fork_worker(pairs.foreign_to(i));
         if (pid == 0)
           run_child(pairs.child_end(i), token, context, rings_.channel(i),
-                    &arena_, &acks_, i, config);  // never returns
+                    &arena_, &acks_, i, config,
+                    max_frame_bytes);  // never returns
         acceptor_.admit(pairs.release_master(i));
         endpoints_.push_back(std::make_unique<ShmEndpoint>(
             static_cast<int>(i), pid, token, inbox_capacity, expected_hello,
-            rings_.channel(i), &arena_, &acks_, &endpoint_stats_[i]));
+            rings_.channel(i), &arena_, &acks_, pool, &endpoint_stats_[i],
+            max_frame_bytes));
       }
     } catch (...) {
       shutdown();
@@ -932,9 +881,8 @@ std::unique_ptr<Transport> make_shm_transport(
     int workers, std::size_t inbox_capacity, const ExecutorOptions& options,
     std::chrono::steady_clock::time_point run_begin, BufferPool* pool,
     std::size_t max_payload_doubles) {
-  (void)pool;  // shm payloads live in the arena, not the master pool
   return std::make_unique<ShmTransport>(workers, inbox_capacity, options,
-                                        run_begin, max_payload_doubles);
+                                        run_begin, pool, max_payload_doubles);
 }
 
 }  // namespace hmxp::runtime

@@ -45,7 +45,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -69,10 +68,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using serde::ByteBuffer;
 using serde::FrameType;
-
-double seconds_since(Clock::time_point begin) {
-  return std::chrono::duration<double>(Clock::now() - begin).count();
-}
 
 // ---- child side -------------------------------------------------------------
 
@@ -121,30 +116,17 @@ class StreamWorkerPort final : public WorkerPort {
     if (goodbye_) return std::nullopt;
     if (!read_frame(fd_, body_, max_frame_bytes_))
       throw PeerDisconnected("connection closed without a goodbye");
-    if (serde::frame_type(body_.data(), body_.size()) == FrameType::kGoodbye) {
+    auto message = serde::decode_inbound(body_.data(), body_.size(), *pool_);
+    if (!message) {
       goodbye_ = true;
       return std::nullopt;
     }
-
     // Return the inbox credit BEFORE computing: the slot is free the
     // moment the message is dequeued, exactly like a channel pop.
     tx_.clear();
     serde::encode_control(FrameType::kCredit, tx_);
     write_exact(fd_, tx_.data(), tx_.size());
-
-    switch (serde::frame_type(body_.data(), body_.size())) {
-      case FrameType::kChunk:
-        return WorkerMessage(
-            serde::decode_chunk(body_.data(), body_.size(), *pool_));
-      case FrameType::kOperand:
-        return WorkerMessage(
-            serde::decode_operand(body_.data(), body_.size(), *pool_));
-      case FrameType::kCancel:
-        return WorkerMessage(
-            serde::decode_cancel(body_.data(), body_.size()));
-      default:
-        throw std::runtime_error("unexpected inbound frame type");
-    }
+    return message;
   }
 
   std::optional<WorkerMessage> try_receive() override {
@@ -218,29 +200,18 @@ class StreamEndpoint final : public ForkedEndpoint {
                  std::size_t credits, const serde::HelloFrame& expected_hello,
                  BufferPool* pool, TransportStats* stats,
                  std::uint64_t max_frame_bytes, Acceptor* acceptor)
-      : ForkedEndpoint(index, pid, token, expected_hello, stats,
+      : ForkedEndpoint(index, pid, token, expected_hello, stats, pool,
                        max_frame_bytes),
         capacity_(credits),
         credits_(credits),
-        pool_(pool),
         acceptor_(acceptor) {}
 
   // ----- Endpoint -----
   void send(WorkerMessage message) override {
     throw_if_dead();
-    const auto serde_begin = Clock::now();
-    tx_.clear();
-    if (auto* chunk = std::get_if<ChunkMessage>(&message)) {
-      serde::encode_chunk(*chunk, tx_);
-      chunk->c.release_to(*pool_);
-    } else if (auto* operands = std::get_if<OperandMessage>(&message)) {
-      serde::encode_operand(*operands, tx_);
-      operands->a.release_to(*pool_);
-      operands->b.release_to(*pool_);
-    } else {
-      serde::encode_cancel(std::get<CancelMessage>(message), tx_);
-    }
-    stats_->serde_seconds += seconds_since(serde_begin);
+    encode(message);
+    for_each_payload(message,
+                     [&](Payload& payload) { payload.release_to(*pool_); });
 
     // The bounded-inbox rule: no credit, no send. Pump while waiting so
     // results and credits keep flowing (and death is noticed).
@@ -332,30 +303,18 @@ class StreamEndpoint final : public ForkedEndpoint {
   }
 
   void dispatch(const std::uint8_t* body, std::size_t size) override {
-    switch (serde::frame_type(body, size)) {
-      case FrameType::kCredit:
-        ++credits_;
-        break;
-      case FrameType::kResult: {
-        if (discarding_) break;
-        const auto serde_begin = Clock::now();
-        results_.push_back(serde::decode_result(body, size, *pool_));
-        stats_->serde_seconds += seconds_since(serde_begin);
-        break;
-      }
-      default:
-        // Hellos never ride an admitted connection -- the Acceptor owns
-        // every handshake -- so one here is as corrupt as any stranger.
-        mark_failed("unexpected frame from worker");
-        break;
+    if (serde::frame_type(body, size) == FrameType::kCredit) {
+      ++credits_;
+      return;
     }
+    // Hellos never ride an admitted connection -- the Acceptor owns
+    // every handshake -- so one here is as corrupt as any stranger.
+    mark_failed("unexpected frame from worker");
   }
 
   std::size_t capacity_;
   std::size_t credits_;
-  BufferPool* pool_;
   Acceptor* acceptor_;
-  ByteBuffer tx_;
 };
 
 class StreamTransport final : public Transport {

@@ -95,15 +95,9 @@ class ThreadWorker final : public WorkerPort {
   /// Hands every payload still queued in the inbox back to `pool`, and
   /// every lent window's loan back to its lender.
   void drain_inbox(BufferPool& pool) {
-    while (auto message = inbox_.try_pop()) {
-      if (auto* chunk = std::get_if<ChunkMessage>(&*message)) {
-        chunk->c.release_to(pool);
-      } else if (auto* operands = std::get_if<OperandMessage>(&*message)) {
-        operands->a.release_to(pool);
-        operands->b.release_to(pool);
-      }
-      // CancelMessage carries no payload: nothing to reclaim.
-    }
+    while (auto message = inbox_.try_pop())
+      for_each_payload(*message,
+                       [&](Payload& payload) { payload.release_to(pool); });
   }
 
   // ----- WorkerPort (the worker-side face of the channels) -----

@@ -27,21 +27,22 @@
 //     whole data plane lives in pre-fork MAP_SHARED memory: payloads in
 //     a SharedArena (the endpoint packs each lent window into a slot it
 //     acquires for the worker, blocking while the arena is full, which
-//     makes arena capacity part of the backpressure rule), descriptor
-//     frames (slot, length) in per-worker SPSC byte rings, and dequeue
-//     acknowledgements on a futex-backed shared ack board. The
-//     socketpair survives only as the bootstrap and death channel
-//     (handshake, worker error reports, EOF on child exit). Zero-copy
-//     ACROSS the process boundary: process isolation at thread-backend
-//     speed.
+//     makes arena capacity part of the backpressure rule), a stream's
+//     frames -- naming slots instead of carrying payloads -- in
+//     per-worker SPSC byte rings, and dequeue acknowledgements on a
+//     futex-backed shared ack board. The socketpair survives only as
+//     the bootstrap and death channel (handshake, worker error reports,
+//     EOF on child exit). Zero-copy ACROSS the process boundary:
+//     process isolation at thread-backend speed.
 //
 // Stream and shm are done with a lent window when send returns; only a
 // thread worker reads one later, so only a thread run has loans out
 // between decisions (the loan rule in runtime/payload.hpp).
 //
 // The two fork-based transports share one worker-process lifecycle
-// (runtime/forked_worker.hpp): spawning, the hello -> ack handshake,
-// death classification and reaping.
+// (runtime/forked_worker.hpp) -- spawning, the hello -> ack handshake,
+// death classification and reaping -- and one frame format
+// (runtime/serde.hpp), which a socket and a ring carry alike.
 //
 // All preserve the semantic load-bearing bound of the simulator's
 // engine: a worker's inbox holds at most `inbox_capacity` messages (the
@@ -96,7 +97,7 @@ struct TransportStats {
   /// serialization overhead the stream transport pays per run.
   double serde_seconds = 0.0;
   /// Payload bytes that crossed the process boundary WITHOUT being
-  /// copied (shm transport: bytes referenced by descriptor frames).
+  /// copied (shm transport: bytes whose frames named an arena slot).
   std::size_t bytes_zero_copied = 0;
   /// Shared-arena occupancy (shm transport only): total slots, the
   /// high-water mark of simultaneously held slots, and slots still held
@@ -222,9 +223,9 @@ class Transport {
 /// `inbox_capacity` is the bounded per-worker inbox depth (the chunk
 /// message plus prefetch_depth + 1 operand slots). `pool` is the
 /// master-side payload pool: the thread transport shares it with its
-/// workers (zero-copy), the stream transport recycles master-side
-/// encode/decode buffers through it while each child owns a private
-/// pool in its own address space. `max_payload_doubles` is the largest
+/// workers (zero-copy), the forked transports decode inline payloads
+/// into it while each child owns a private pool in its own address
+/// space. `max_payload_doubles` is the largest
 /// single payload the run can ship (from the partition geometry): the
 /// shm transport sizes its arena slots with it, and every serializing
 /// transport derives its per-endpoint frame-length limit from it

@@ -1,5 +1,7 @@
 // Tests for the stream transport over socketpairs (kProcess): frame
-// serialization round-trips, then the shared stream suite
+// serialization round-trips, the frame splitter every forked worker's
+// pipe is read through, and a corrupt plan count that must not
+// allocate, then the shared stream suite
 // (stream_backend_suite.hpp) instantiated for the socketpair fd source --
 // parity with the thread transport, serialization counters, SIGKILL
 // recovery, strict-mode root cause, kernel-tier propagation, the core
@@ -9,9 +11,18 @@
 // forked-worker tests skip there.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <optional>
 #include <stdexcept>
+#include <variant>
 #include <vector>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "matrix/matrix.hpp"
 #include "runtime/buffer_pool.hpp"
@@ -187,6 +198,112 @@ TEST(Serde, LentWindowsEncodeLikeTheirDenseCopies) {
   }
   // Every window went back to its lender with the message holding it.
   EXPECT_EQ(loans.outstanding(), 0u);
+}
+
+TEST(Serde, FrameSplitterHandsOutOnlyWholeFrames) {
+  // Two frames arriving a byte at a time, as a pipe may deliver them: no
+  // frame comes out before its last byte, and they come out in order.
+  ChunkMessage chunk;
+  chunk.plan = sample_plan();
+  chunk.element_rows = 1;
+  chunk.element_cols = 2;
+  chunk.c = {1.0, 2.0};
+  chunk.seq = 5;
+  serde::ByteBuffer wire;
+  serde::encode(WorkerMessage(std::move(chunk)), wire);
+  const std::size_t first_frame = wire.size();
+  serde::encode(WorkerMessage(CancelMessage{5}), wire);
+
+  BufferPool pool;
+  serde::FrameSplitter splitter(serde::max_frame_bytes_for(2));
+  std::vector<std::optional<WorkerMessage>> decoded;
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    *splitter.reserve(1) = wire[i];
+    splitter.commit(1);
+    const auto frame = splitter.next();
+    const bool frame_ends_here = i + 1 == first_frame || i + 1 == wire.size();
+    ASSERT_EQ(frame.has_value(), frame_ends_here) << "byte " << i;
+    if (frame)
+      decoded.push_back(
+          serde::decode_inbound(frame->data(), frame->size(), pool));
+  }
+  ASSERT_EQ(decoded.size(), 2u);
+  ASSERT_TRUE(decoded[0].has_value());
+  EXPECT_EQ(std::get<ChunkMessage>(*decoded[0]).c, Payload({1.0, 2.0}));
+  ASSERT_TRUE(decoded[1].has_value());
+  EXPECT_EQ(std::get<CancelMessage>(*decoded[1]).seq, 5u);
+
+  // A goodbye decodes to the end of the stream; a length beyond the
+  // splitter's limit is refused before anything is sized from it.
+  serde::ByteBuffer goodbye;
+  serde::encode_control(serde::FrameType::kGoodbye, goodbye);
+  std::copy(goodbye.begin(), goodbye.end(), splitter.reserve(goodbye.size()));
+  splitter.commit(goodbye.size());
+  const auto end = splitter.next();
+  ASSERT_TRUE(end.has_value());
+  EXPECT_FALSE(serde::decode_inbound(end->data(), end->size(), pool));
+  const std::uint64_t hostile = std::uint64_t{1} << 50;
+  std::memcpy(splitter.reserve(sizeof hostile), &hostile, sizeof hostile);
+  splitter.commit(sizeof hostile);
+  EXPECT_THROW(splitter.next(), std::runtime_error);
+}
+
+TEST(Serde, PlanStepCountIsBoundedByTheFrameBeforeAllocating) {
+  HMXP_SKIP_UNDER_TSAN();
+  // A one-step chunk frame whose step count claims 2^24 steps: sizing
+  // the plan from that count alone would commit 512 MiB (32 B per step)
+  // before the decoder noticed that the frame holds one. The decode
+  // runs in a forked child, whose peak RSS the kernel reports at wait4.
+  ChunkMessage message;
+  message.plan.rect = {0, 1, 0, 1};
+  message.plan.steps.push_back({2, 1, 0, 1});
+  message.element_rows = 1;
+  message.element_cols = 1;
+  message.c = {1.0};
+  serde::ByteBuffer wire;
+  serde::encode_chunk(message, wire);
+  // The count follows the type byte and the four rectangle bounds.
+  const std::size_t count_at =
+      serde::kLengthBytes + 1 + 4 * sizeof(std::uint64_t);
+  std::uint64_t count = 0;
+  std::memcpy(&count, wire.data() + count_at, sizeof count);
+  ASSERT_EQ(count, 1u);
+  count = std::uint64_t{1} << 24;
+  std::memcpy(wire.data() + count_at, &count, sizeof count);
+
+  long total_pages = 0, resident_pages = 0;
+  {
+    std::FILE* statm = std::fopen("/proc/self/statm", "r");
+    ASSERT_NE(statm, nullptr);
+    ASSERT_EQ(std::fscanf(statm, "%ld %ld", &total_pages, &resident_pages),
+              2);
+    std::fclose(statm);
+  }
+  const long rss_at_fork_kib =
+      resident_pages * (::sysconf(_SC_PAGESIZE) / 1024);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    int status = 1;  // decoded: the corrupt count went unnoticed
+    try {
+      BufferPool pool;
+      serde::decode_chunk(wire.data() + serde::kLengthBytes,
+                          wire.size() - serde::kLengthBytes, pool);
+    } catch (const std::runtime_error&) {
+      status = 0;
+    } catch (...) {
+      status = 2;
+    }
+    ::_exit(status);
+  }
+  int status = 0;
+  struct rusage usage;
+  ASSERT_EQ(::wait4(pid, &status, 0, &usage), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the decode must throw runtime_error";
+  EXPECT_LT(usage.ru_maxrss, rss_at_fork_kib + 64 * 1024)
+      << "peak RSS of the decoding child, KiB (RSS at fork "
+      << rss_at_fork_kib << " KiB)";
 }
 
 // ---- the shared stream suite over socketpairs -------------------------------

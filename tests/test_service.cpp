@@ -591,7 +591,7 @@ TEST(Service, WireCodecRoundTripsAndRejectsTruncation) {
   EXPECT_FALSE(wire::decode_job_result(out).has_value());
 }
 
-// ---- shm transport: arena accounting across jobs ----------------------------
+// ---- shm transport: arena accounting and long frames across jobs ------------
 
 TEST(Service, ShmFleetLeaksNoArenaSlotsAcrossJobs) {
 #if !defined(HMXP_TSAN)
@@ -622,6 +622,42 @@ TEST(Service, ShmFleetLeaksNoArenaSlotsAcrossJobs) {
   EXPECT_EQ(stats.arena_leaked_slots, 0u)
       << "shared-arena slots still held after three jobs drained";
   EXPECT_EQ(daemon.fleet().pool().stats().outstanding, 0u);
+}
+
+TEST(Service, ShmFleetServesALongInnerDimensionAndKeepsItsWorkers) {
+#if defined(HMXP_TSAN)
+  GTEST_SKIP() << "forked shm workers are out of TSan's scope";
+#endif
+  // 407 k-steps: each result frame carries a plan step and a step time
+  // per k-step, more than a 16 KiB shm ring holds. It must stream
+  // through the ring like any frame -- not kill the workers that send
+  // it and leave the daemon nothing to serve the next job with.
+  DaemonConfig config = base_config(4);
+  config.platform = platform::Platform::homogeneous(4, 1.0, 1.0, 400);
+  config.executor.transport = runtime::TransportKind::kShm;
+  config.max_payload_doubles = 64 * 4096;
+  Daemon daemon(config);
+  Client client(daemon);
+
+  JobSpec long_spec;
+  long_spec.n_a = 16;
+  long_spec.n_ab = 3256;
+  long_spec.n_b = 16;
+  long_spec.q = 8;
+  long_spec.data_seed = 81;
+  const JobResult long_result = client.run(long_spec);
+  ASSERT_EQ(long_result.state, JobState::kCompleted) << long_result.error;
+  expect_bitwise_equal(long_result.c,
+                       standalone_product(long_spec, config.platform));
+  EXPECT_EQ(daemon.alive_workers(), 4);
+
+  const JobSpec spec = small_spec(83);
+  const JobResult small = client.run(spec);
+  ASSERT_EQ(small.state, JobState::kCompleted) << small.error;
+  expect_bitwise_equal(small.c, standalone_product(spec, config.platform));
+  EXPECT_EQ(daemon.alive_workers(), 4);
+  daemon.shutdown();
+  EXPECT_EQ(daemon.fleet().transport_stats().arena_leaked_slots, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the zero-copy shm transport: SharedArena slot accounting
 // (acquire/release, owner-tagged crash reclamation, the benign
-// double-release race, leak counters, cross-thread stress), descriptor
-// frame round-trips against a real arena, cross-transport parity
+// double-release race, leak counters, cross-thread stress), slot
+// references through the one frame codec against a real arena (and
+// their rejection without one), cross-transport parity
 // (thread vs shm backends produce identical decision sequences and
 // bit-for-bit identical C for every registered scheduler),
 // Endpoint::can_send against the worker's ack-board count, a shutdown
@@ -22,6 +23,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -159,7 +161,7 @@ TEST(SharedArena, ConcurrentAcquireReleaseKeepsEverySlotAccounted) {
   EXPECT_LE(stats.peak_in_use, kSlots);
 }
 
-// ---- descriptor frames ------------------------------------------------------
+// ---- slot references in the one codec ---------------------------------------
 
 sim::ChunkPlan sample_plan() {
   sim::ChunkPlan plan;
@@ -181,8 +183,18 @@ Payload pack_slot(SharedArena& arena, std::uint32_t owner,
   return Payload::arena_view(&arena, slot->index, slot->data, values.size());
 }
 
+/// The body of the one frame in `wire`.
+std::pair<const std::uint8_t*, std::size_t> body_of(
+    const serde::ByteBuffer& wire) {
+  const std::uint64_t length = serde::decode_length(wire.data());
+  EXPECT_EQ(wire.size(), serde::kLengthBytes + length);
+  return {wire.data() + serde::kLengthBytes,
+          static_cast<std::size_t>(length)};
+}
+
 TEST(ShmSerde, DescriptorFramesRoundTripWithoutCopyingPayloads) {
   SharedArena arena(8, 16);
+  BufferPool pool;
   {
     ChunkMessage message;
     message.plan = sample_plan();
@@ -191,15 +203,11 @@ TEST(ShmSerde, DescriptorFramesRoundTripWithoutCopyingPayloads) {
     message.c = pack_slot(arena, 0, {1.5, -2.25, 3.0, 0.0, 1e-300, 6.5});
 
     serde::ByteBuffer wire;
-    serde::encode_chunk_ref(message, wire);
+    serde::encode_chunk(message, wire);
     // The frame is metadata-sized: the six payload doubles stay put.
     EXPECT_LT(wire.size(), 256u);
-    const std::uint64_t length = serde::decode_length(wire.data());
-    ASSERT_EQ(wire.size(), serde::kLengthBytes + length);
-
-    const ChunkMessage decoded = serde::decode_chunk_ref(
-        wire.data() + serde::kLengthBytes, static_cast<std::size_t>(length),
-        arena);
+    const auto [body, size] = body_of(wire);
+    const ChunkMessage decoded = serde::decode_chunk(body, size, pool, &arena);
     EXPECT_EQ(decoded.plan.rect, message.plan.rect);
     EXPECT_EQ(decoded.plan.steps, message.plan.steps);
     EXPECT_EQ(decoded.element_rows, message.element_rows);
@@ -219,11 +227,10 @@ TEST(ShmSerde, DescriptorFramesRoundTripWithoutCopyingPayloads) {
     message.a = pack_slot(arena, 1, {1.0, 2.0, 3.0, 4.0});
     message.b = pack_slot(arena, 1, {5.0, 6.0});
     serde::ByteBuffer wire;
-    serde::encode_operand_ref(message, wire);
-    const std::uint64_t length = serde::decode_length(wire.data());
-    const OperandMessage decoded = serde::decode_operand_ref(
-        wire.data() + serde::kLengthBytes, static_cast<std::size_t>(length),
-        arena);
+    serde::encode_operand(message, wire);
+    const auto [body, size] = body_of(wire);
+    const OperandMessage decoded =
+        serde::decode_operand(body, size, pool, &arena);
     EXPECT_EQ(decoded.step, message.step);
     EXPECT_EQ(decoded.a.data(), message.a.data());
     EXPECT_EQ(decoded.b.data(), message.b.data());
@@ -241,11 +248,10 @@ TEST(ShmSerde, DescriptorFramesRoundTripWithoutCopyingPayloads) {
     message.updates_performed = 3;
     message.step_seconds = {0.25, 0.125, 0.5};
     serde::ByteBuffer wire;
-    serde::encode_result_ref(message, wire);
-    const std::uint64_t length = serde::decode_length(wire.data());
-    const ResultMessage decoded = serde::decode_result_ref(
-        wire.data() + serde::kLengthBytes, static_cast<std::size_t>(length),
-        arena);
+    serde::encode_result(message, wire);
+    const auto [body, size] = body_of(wire);
+    const ResultMessage decoded =
+        serde::decode_result(body, size, pool, &arena);
     EXPECT_EQ(decoded.c.data(), message.c.data());
     EXPECT_EQ(decoded.updates_performed, message.updates_performed);
     EXPECT_EQ(decoded.step_seconds, message.step_seconds);
@@ -257,19 +263,18 @@ TEST(ShmSerde, DescriptorFramesRoundTripWithoutCopyingPayloads) {
 
 TEST(ShmSerde, DescriptorValidationRejectsCorruptSlots) {
   SharedArena arena(2, 4);
+  BufferPool pool;
   ChunkMessage message;
   message.plan = sample_plan();
   message.element_rows = 1;
   message.element_cols = 2;
   message.c = pack_slot(arena, 0, {1.0, 2.0});
   serde::ByteBuffer wire;
-  serde::encode_chunk_ref(message, wire);
-  const std::uint64_t length = serde::decode_length(wire.data());
+  serde::encode_chunk(message, wire);
+  const auto [body, size] = body_of(wire);
 
   // Truncated frame.
-  EXPECT_THROW(serde::decode_chunk_ref(wire.data() + serde::kLengthBytes,
-                                       static_cast<std::size_t>(length) - 3,
-                                       arena),
+  EXPECT_THROW(serde::decode_chunk(body, size - 3, pool, &arena),
                std::runtime_error);
   // A slot index beyond the arena must be rejected, not dereferenced:
   // decode against a SMALLER arena than the encoder's.
@@ -286,13 +291,11 @@ TEST(ShmSerde, DescriptorValidationRejectsCorruptSlots) {
     ASSERT_TRUE(slot.has_value());
     ASSERT_GE(slot->index, tiny.slot_count());  // out of range for `tiny`
     big.c = Payload::arena_view(&arena, slot->index, slot->data, 2);
-    serde::encode_chunk_ref(big, corrupt);
+    serde::encode_chunk(big, corrupt);
   }
-  const std::uint64_t corrupt_length = serde::decode_length(corrupt.data());
-  EXPECT_THROW(
-      serde::decode_chunk_ref(corrupt.data() + serde::kLengthBytes,
-                              static_cast<std::size_t>(corrupt_length), tiny),
-      std::runtime_error);
+  const auto [corrupt_body, corrupt_size] = body_of(corrupt);
+  EXPECT_THROW(serde::decode_chunk(corrupt_body, corrupt_size, pool, &tiny),
+               std::runtime_error);
   // An in-range slot whose length overflows the slot size likewise.
   serde::ByteBuffer oversize;
   {
@@ -303,14 +306,48 @@ TEST(ShmSerde, DescriptorValidationRejectsCorruptSlots) {
     auto slot = tiny.try_acquire(0);
     (void)slot;  // tiny is full; reuse the hijacked slot's index
     big.c = Payload::arena_view(&tiny, hijack->index, hijack->data, 8);
-    serde::encode_result_ref(big, oversize);
+    serde::encode_result(big, oversize);
     big.c.detach();  // keep the slot with `hijack`
   }
-  const std::uint64_t oversize_length = serde::decode_length(oversize.data());
-  EXPECT_THROW(serde::decode_result_ref(oversize.data() + serde::kLengthBytes,
-                                        static_cast<std::size_t>(
-                                            oversize_length),
-                                        tiny),
+  const auto [oversize_body, oversize_size] = body_of(oversize);
+  EXPECT_THROW(
+      serde::decode_result(oversize_body, oversize_size, pool, &tiny),
+      std::runtime_error);
+}
+
+TEST(ShmSerde, SlotReferencesNeedAnArenaAndHomesMustBeKnown) {
+  SharedArena arena(2, 4);
+  BufferPool pool;
+  ChunkMessage message;
+  message.plan = sample_plan();
+  message.element_rows = 1;
+  message.element_cols = 2;
+  message.c = pack_slot(arena, 0, {1.0, 2.0});
+  serde::ByteBuffer wire;
+  serde::encode_chunk(message, wire);
+  const auto [body, size] = body_of(wire);
+  // A slot reference means nothing to a pipe without an arena.
+  EXPECT_THROW(serde::decode_chunk(body, size, pool), std::runtime_error);
+  EXPECT_THROW(serde::decode_inbound(body, size, pool), std::runtime_error);
+  EXPECT_EQ(arena.in_use(), 1u);  // the encoder's slot stays its own
+
+  // The same chunk inline ends in [u8 home][u64 n][n doubles]; a home
+  // byte that is neither inline nor arena is corrupt.
+  ChunkMessage inline_message;
+  inline_message.plan = sample_plan();
+  inline_message.element_rows = 1;
+  inline_message.element_cols = 2;
+  inline_message.c = {1.0, 2.0};
+  serde::ByteBuffer inline_wire;
+  serde::encode_chunk(inline_message, inline_wire);
+  const std::size_t home_at =
+      inline_wire.size() - 1 - sizeof(std::uint64_t) - 2 * sizeof(double);
+  ASSERT_EQ(inline_wire[home_at], 0u);
+  inline_wire[home_at] = 7;
+  const auto [inline_body, inline_size] = body_of(inline_wire);
+  EXPECT_THROW(serde::decode_chunk(inline_body, inline_size, pool, &arena),
+               std::runtime_error);
+  EXPECT_THROW(serde::decode_inbound(inline_body, inline_size, pool, &arena),
                std::runtime_error);
 }
 

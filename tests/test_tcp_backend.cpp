@@ -10,8 +10,10 @@
 // lifecycle -- a worker severed mid-run redials, is re-admitted, and the
 // run completes bit-for-bit equal to the fault-free product. Last, over
 // all four transports: a run whose scheduler aborts while a worker still
-// holds queued operands surfaces the scheduler's error promptly, and a
-// fault-tolerant run that loses every worker throws instead of waiting.
+// holds queued operands surfaces the scheduler's error promptly, a
+// fault-tolerant run that loses every worker throws instead of waiting,
+// and a long inner dimension -- frames longer than an shm ring or two
+// of the run's largest payloads -- verifies bit for bit.
 //
 // Everything that forks SKIPS under ThreadSanitizer; the in-process serde
 // and socket-helper tests keep running there.
@@ -427,6 +429,51 @@ TEST_P(EveryWorkerLost, FaultTolerantRunThrowsInsteadOfWaiting) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTransports, EveryWorkerLost, kAllTransports,
+                         transport_param_name);
+
+// ---- a long inner dimension, on every transport -----------------------------
+
+class LongInnerDimension : public ::testing::TestWithParam<TransportKind> {};
+
+TEST_P(LongInnerDimension, VerifiesBitForBitLikeTheThreadTransport) {
+  if (GetParam() != TransportKind::kThread) HMXP_SKIP_UNDER_TSAN();
+  // Chunk and result frames carry a plan step (and a result a step
+  // time) per k-step: with t = 407 a result frame outgrows a 16 KiB shm
+  // ring, with t = 509 a chunk frame does too, and a 2800-step result
+  // of one element is larger than two payloads of the run's biggest
+  // size. Every frame must still arrive whole, on every transport.
+  struct Case {
+    int workers;
+    matrix::Partition part;
+  };
+  const Case cases[] = {{2, matrix::Partition(16, 8 * 407, 16, 8)},
+                        {2, matrix::Partition(16, 8 * 509, 16, 8)},
+                        {1, matrix::Partition(1, 2800, 1, 1)}};
+  for (const Case& item : cases) {
+    const matrix::Partition& part = item.part;
+    SCOPED_TRACE("t=" + std::to_string(part.t()));
+    const auto plat =
+        platform::Platform::homogeneous(item.workers, 1.0, 1.0, 64);
+    const auto a = random_matrix(part.n_a(), part.n_ab(), 71);
+    const auto b = random_matrix(part.n_ab(), part.n_b(), 72);
+    const matrix::Matrix c_initial = random_matrix(part.n_a(), part.n_b(), 73);
+    matrix::Matrix c_thread = c_initial;
+    matrix::Matrix c = c_initial;
+    ExecutorOptions options;
+    auto reference = sched::Registry::instance().make("ODDOML", plat, part);
+    execute_online(*reference, plat, part, a, b, c_thread, options);
+
+    auto scheduler = sched::Registry::instance().make("ODDOML", plat, part);
+    options.transport = GetParam();
+    const ExecutorReport report =
+        execute_online(*scheduler, plat, part, a, b, c, options);
+    EXPECT_TRUE(report.verified);
+    EXPECT_EQ(matrix::Matrix::max_abs_diff(c, c_thread), 0.0);
+    EXPECT_EQ(report.transport_stats.arena_leaked_slots, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTransports, LongInnerDimension, kAllTransports,
                          transport_param_name);
 
 }  // namespace
