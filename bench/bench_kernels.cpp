@@ -272,6 +272,36 @@ void BM_EngineDecisionThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineDecisionThroughput)->Arg(400)->Arg(800);
 
+/// Building a scheduler that selects its platform before it runs: Hom
+/// and HomI price every virtual platform they consider, Het simulates
+/// its eight look-ahead variants. One seeded random eight-worker
+/// platform, r x t x s blocks at q = 80.
+void BM_Selection(benchmark::State& state, const char* algorithm,
+                  std::size_t r, std::size_t t, std::size_t s) {
+  util::Rng rng(1);
+  const auto plat = platform::random_platform(rng, 8);
+  const auto part = matrix::Partition::from_blocks(r, t, s, 80);
+  for (auto _ : state) {
+    auto scheduler = sched::Registry::instance().make(algorithm, plat, part);
+    benchmark::DoNotOptimize(scheduler.get());
+  }
+  state.counters["selections/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
+// sim-grid's instance shape, and the paper's.
+BENCHMARK_CAPTURE(BM_Selection, Hom/grid, "Hom", 20, 100, 20)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Selection, HomI/grid, "HomI", 20, 100, 20)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Selection, Het/grid, "Het", 20, 100, 20)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Selection, Hom/paper, "Hom", 100, 100, 100)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Selection, HomI/paper, "HomI", 100, 100, 100)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Selection, Het/paper, "Het", 100, 100, 100)
+    ->Unit(benchmark::kMillisecond);
+
 /// One online product per iteration: ODDOML on four homogeneous
 /// workers, n x n x n in q = 16 blocks, verification off, over
 /// `transport`. A standalone run (execute_online) spawns its fleet,

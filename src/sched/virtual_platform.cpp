@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "sim/scheduler.hpp"
 #include "util/check.hpp"
@@ -24,6 +26,24 @@ model::Time predict(const HomogeneousParams& params, int count,
   return sim::simulate(scheduler, virtual_platform, partition).makespan;
 }
 
+/// What fixes the schedule `predict` simulates: (P_eff, mu_eff, c, w),
+/// exact for the reasons the header gives.
+using ScheduleKey =
+    std::tuple<int, model::BlockCount, model::Time, model::Time>;
+using Predictions = std::map<ScheduleKey, model::Time>;
+
+ScheduleKey schedule_key(const HomogeneousParams& params, int count,
+                         const matrix::Partition& partition) {
+  const auto r = static_cast<model::BlockCount>(partition.r());
+  const auto s = static_cast<model::BlockCount>(partition.s());
+  const model::BlockCount mu = params.mu();
+  const model::BlockCount width = std::min(mu, s);
+  const model::BlockCount groups = (s + width - 1) / width;
+  const auto enrolled = static_cast<int>(
+      std::min<model::BlockCount>(params.enrollment(count), groups));
+  return {enrolled, std::min(mu, std::max(r, s)), params.c, params.w};
+}
+
 std::string describe(const HomogeneousParams& params, std::size_t eligible) {
   std::ostringstream os;
   os << "m>=" << params.m << " c<=" << params.c << " w<=" << params.w << " ("
@@ -32,9 +52,11 @@ std::string describe(const HomogeneousParams& params, std::size_t eligible) {
 }
 
 /// Evaluates one (m, c, w) threshold triple; updates `best` if finer.
+/// Simulates only a schedule `predictions` has not seen yet.
 void consider(const platform::Platform& platform,
               const matrix::Partition& partition, model::BlockCount m,
-              model::Time c, model::Time w, VirtualSelection& best) {
+              model::Time c, model::Time w, Predictions& predictions,
+              VirtualSelection& best) {
   std::vector<int> eligible;
   for (int i = 0; i < platform.size(); ++i) {
     const platform::WorkerSpec& spec = platform.worker(i);
@@ -43,9 +65,12 @@ void consider(const platform::Platform& platform,
   }
   if (eligible.empty()) return;
 
-  HomogeneousParams params{c, w, m};
-  const model::Time makespan =
-      predict(params, static_cast<int>(eligible.size()), partition);
+  const HomogeneousParams params{c, w, m};
+  const int count = static_cast<int>(eligible.size());
+  const auto [slot, fresh] =
+      predictions.try_emplace(schedule_key(params, count, partition));
+  if (fresh) slot->second = predict(params, count, partition);
+  const model::Time makespan = slot->second;
   if (makespan < best.predicted_makespan) {
     best.params = params;
     best.candidates = std::move(eligible);
@@ -61,6 +86,7 @@ VirtualSelection select_hom(const platform::Platform& platform,
   VirtualSelection best;
   best.predicted_makespan = std::numeric_limits<model::Time>::infinity();
 
+  Predictions predictions;
   std::set<model::BlockCount> memories;
   for (const platform::WorkerSpec& worker : platform.workers())
     memories.insert(worker.m);
@@ -75,7 +101,7 @@ VirtualSelection select_hom(const platform::Platform& platform,
         w = std::max(w, worker.w);
       }
     }
-    consider(platform, partition, m, c, w, best);
+    consider(platform, partition, m, c, w, predictions, best);
   }
   HMXP_CHECK(!best.candidates.empty(), "Hom selection found no platform");
   return best;
@@ -86,6 +112,7 @@ VirtualSelection select_homi(const platform::Platform& platform,
   VirtualSelection best;
   best.predicted_makespan = std::numeric_limits<model::Time>::infinity();
 
+  Predictions predictions;
   std::set<model::BlockCount> memories;
   std::set<model::Time> bandwidths;
   std::set<model::Time> speeds;
@@ -98,7 +125,7 @@ VirtualSelection select_homi(const platform::Platform& platform,
   for (const model::BlockCount m : memories)
     for (const model::Time c : bandwidths)
       for (const model::Time w : speeds)
-        consider(platform, partition, m, c, w, best);
+        consider(platform, partition, m, c, w, predictions, best);
 
   HMXP_CHECK(!best.candidates.empty(), "HomI selection found no platform");
   return best;

@@ -14,7 +14,17 @@
 //
 // Makespans are estimated by running the simulator on the virtual
 // platform, which is exact under the model (the paper computes the same
-// quantity analytically).
+// quantity analytically); each distinct schedule is simulated once per
+// selection. A triple with `count` eligible workers and chunk side mu
+// runs the schedule fixed by (P_eff, mu_eff, c, w), where
+// mu_eff = min(mu, max(r, s)), P = enrollment(count) and
+// P_eff = min(P, ceil(s / min(mu, s))). The key is exact: chunks are
+// clipped to the matrix, so every side of at least max(r, s) carves the
+// same chunks; the first round-robin cycle hands the
+// ceil(s / min(mu, s)) column groups to the first enrolled workers, so
+// any worker past them never acts in a fault-free run; and m reaches
+// the schedule only through mu and P, since a mu-wide chunk always fits
+// in memory m.
 //
 // The paper does not specify which eligible workers execute when more
 // are eligible than the P the homogeneous selection enrolls; we take
