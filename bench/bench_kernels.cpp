@@ -21,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "common.hpp"
 #include "core/run.hpp"
 #include "matrix/gemm.hpp"
 #include "matrix/kernel_dispatch.hpp"
@@ -91,9 +90,7 @@ void report_packed_config(benchmark::State& state) {
 
 void BM_GemmSimd(benchmark::State& state) {
   // The packed micro-kernel path with whatever micro-kernel the host
-  // dispatches and the AUTOTUNED blocking (counters mc/kc/nc say which
-  // won); BM_GemmSimdFixedBlocking below is the hardcoded-120/256/512
-  // baseline this must never fall below.
+  // dispatches and the active blocking (counters mc/kc/nc say which).
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(2);
   const auto a = matrix::Matrix::random(n, n, rng);
@@ -107,25 +104,6 @@ void BM_GemmSimd(benchmark::State& state) {
   report_packed_config(state);
 }
 BENCHMARK(BM_GemmSimd)->Arg(80)->Arg(160)->Arg(320)->Arg(512)->Arg(1024);
-
-void BM_GemmSimdFixedBlocking(benchmark::State& state) {
-  // The packed path pinned to the historical hardcoded blocking
-  // (120/256/512): the no-regression baseline for the autotuner.
-  // BM_GemmSimd GFLOP/s >= this, shape by shape, is the honest-win
-  // criterion the tuning cache answers for.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(2);
-  const auto a = matrix::Matrix::random(n, n, rng);
-  const auto b = matrix::Matrix::random(n, n, rng);
-  matrix::Matrix c(n, n, 0.0);
-  for (auto _ : state) {
-    matrix::gemm_simd_with_blocking(a.view(), b.view(), c.view(),
-                                    matrix::kDefaultBlocking);
-    benchmark::DoNotOptimize(c.data());
-  }
-  report_gflops(state, n);
-}
-BENCHMARK(BM_GemmSimdFixedBlocking)->Arg(512)->Arg(1024);
 
 void BM_GemmAvx512(benchmark::State& state) {
   // The AVX-512 8x8 micro-kernel, explicitly pinned. Registered from
@@ -666,35 +644,25 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("hmxp_build_type",
                               optimized_build ? "release" : "debug");
 
-  // --kernel / --tune mirror the figure benches (they are consumed
-  // here, before google-benchmark sees the argument list): pin the
-  // dispatch, set the tune mode, or force an explicit MCxKCxNC.
+  // --kernel mirrors the figure benches (it is consumed here, before
+  // google-benchmark sees the argument list): pin the dispatch.
   std::vector<std::string> args;
   for (int i = 0; i < argc; ++i) {
     const std::string arg(argv[i]);
-    if (arg.rfind("--kernel=", 0) == 0) {
+    if (arg.rfind("--kernel=", 0) == 0)
       hmxp::matrix::apply_kernel_pin(arg.substr(9));
-    } else if (arg.rfind("--tune=", 0) == 0) {
-      hmxp::bench::apply_tune_flag(arg.substr(7));
-    } else {
+    else
       args.push_back(arg);
-    }
   }
 
-  // Resolve the packed blocking up front (running the autotune search
-  // now, not inside the first timed benchmark) and stamp the resulting
-  // configuration into the JSON context: every GFLOP/s figure in this
-  // file is attributable to a (variant, blocking, source) triple.
-  {
-    namespace matrix = hmxp::matrix;
-    const matrix::TuneOutcome outcome =
-        matrix::resolve_blocking(matrix::active_micro_kernel_variant());
-    benchmark::AddCustomContext("hmxp_kernel_variant",
-                                matrix::packed_kernel_variant());
-    benchmark::AddCustomContext("hmxp_blocking",
-                                matrix::blocking_to_string(outcome.params));
-    benchmark::AddCustomContext("hmxp_blocking_source", outcome.source);
-  }
+  // Stamp the kernel configuration into the JSON context: every
+  // GFLOP/s figure in this file is attributable to a (variant,
+  // blocking) pair.
+  benchmark::AddCustomContext("hmxp_kernel_variant",
+                              hmxp::matrix::packed_kernel_variant());
+  benchmark::AddCustomContext(
+      "hmxp_blocking",
+      hmxp::matrix::blocking_to_string(hmxp::matrix::active_blocking()));
 
   // Host-capability-gated registration: on a non-AVX-512 machine the
   // benchmark is absent rather than failing or lying.

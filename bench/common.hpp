@@ -44,9 +44,4 @@ struct BenchArgs {
 std::optional<BenchArgs> parse_bench_args(int argc, char** argv,
                                           const std::string& description);
 
-/// Applies a --tune value: a mode name (off|auto|force|smoke) sets the
-/// tune mode, an explicit "MCxKCxNC" pins the blocking; anything else
-/// throws std::invalid_argument.
-void apply_tune_flag(const std::string& value);
-
 }  // namespace hmxp::bench

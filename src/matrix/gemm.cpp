@@ -96,12 +96,11 @@ void gemm_tiled_unchecked(ConstView a, ConstView b, View c) {
 // full MR x NR register tiles, with short edge tiles accumulated
 // through a small stack buffer.
 //
-// MC/KC/NC -- the A panel sized for L2, the B panel for L3 -- are no
-// longer compile-time constants: they are runtime BlockingParams
-// resolved by matrix/tuning.hpp (forced pin > per-host tuning cache >
-// at-first-use measured search > the historical 120/256/512 default).
-// Only the register-tile bounds stay static, for the edge-tile stack
-// buffer: the widest micro-kernel is the AVX-512 8x8.
+// MC/KC/NC -- the A panel sized for L2, the B panel for L3 -- are a
+// runtime BlockingParams from matrix/tuning.hpp: the 120/256/512
+// constant unless a test pins another. The register-tile bounds stay
+// static, for the edge-tile stack buffer: the widest micro-kernel is
+// the AVX-512 8x8.
 constexpr std::size_t kMaxMr = 8;
 constexpr std::size_t kMaxNr = 8;
 
@@ -241,25 +240,20 @@ __attribute__((target("avx512f"))) void micro_kernel_avx512_8x8(
 }
 #endif  // HMXP_X86_TARGETS
 
-/// Implementation table for a variant. The caller guarantees the host
-/// can execute it (force_micro_kernel_variant and the env pin both
-/// reject unsupported ISAs, and the default is cpuid-derived).
-MicroKernelInfo micro_kernel_info(MicroKernelVariant variant) {
+/// Implementation table for the active variant, selected per call from
+/// the pin/env/cpuid resolution -- one relaxed atomic load, negligible
+/// next to packing. The host can always execute it
+/// (force_micro_kernel_variant and the env pin both reject unsupported
+/// ISAs, and the default is cpuid-derived).
+MicroKernelInfo micro_kernel_info() {
 #ifdef HMXP_X86_TARGETS
+  const MicroKernelVariant variant = active_micro_kernel_variant();
   if (variant == MicroKernelVariant::kAvx512)
     return {8, 8, &micro_kernel_avx512_8x8};
   if (variant == MicroKernelVariant::kAvx2Fma)
     return {6, 8, &micro_kernel_avx2_6x8};
-#else
-  (void)variant;
 #endif
   return {4, 8, &micro_kernel_portable_4x8};
-}
-
-/// Selected per call from the pin/env/cpuid resolution -- one relaxed
-/// atomic load, negligible next to packing.
-MicroKernelInfo micro_kernel_info() {
-  return micro_kernel_info(active_micro_kernel_variant());
 }
 
 /// Packs A[i0:i0+mc, k0:k0+kc] into MR-row slivers: sliver s holds rows
@@ -331,7 +325,7 @@ void macro_kernel(const MicroKernelInfo& mk, std::size_t mc, std::size_t nc,
 /// Per-thread pack buffers: grow-only, reused for the lifetime of the
 /// thread. Growth only happens when a run needs MORE capacity than any
 /// previous run on this thread -- changing BlockingParams between runs
-/// (re-tuning, a forced pin) never shrinks or reallocates downward, so
+/// (a forced pin) never shrinks or reallocates downward, so
 /// after one warm-up at the largest blocking in play, steady-state GEMM
 /// performs zero heap allocation (asserted by tests, the same contract
 /// PR-3 established for BufferPool).
@@ -469,23 +463,18 @@ struct TileRun {
   }
 };
 
-/// Picks tile extents: start from the packed blocking (the RUNTIME
-/// MC x NC when the packed tier is active -- a tuned NC changes the
-/// natural tile width) and shrink toward micro-tile multiples until
-/// the grid feeds every participant, so tall-skinny / short-wide
-/// shapes still split evenly. Aligning tiles to the runtime NC keeps
-/// each worker's packed-B panel private to its own thread-local
-/// buffer: every thread packs (first-touches) the B columns it
-/// multiplies, which places the panels on the worker's own NUMA node
-/// instead of sharing one master-packed copy across sockets.
+/// Picks tile extents: start from the active MC x NC blocking (a
+/// pinned NC changes the natural tile width) and shrink toward
+/// micro-tile multiples until the grid feeds every participant, so
+/// tall-skinny / short-wide shapes still split evenly. Aligning tiles
+/// to NC keeps each worker's packed-B panel private to its own
+/// thread-local buffer: every thread packs (first-touches) the B
+/// columns it multiplies, which places the panels on the worker's own
+/// NUMA node instead of sharing one master-packed copy across sockets.
 void choose_tiles(TileRun& run, std::size_t workers) {
   const std::size_t m = run.c.rows();
   const std::size_t n = run.c.cols();
-  // Non-packed tiers never consult BlockingParams; using the default
-  // seed there avoids triggering an autotune search from a tiled run.
-  const BlockingParams blocking = active_kernel_tier() == KernelTier::kPacked
-                                      ? active_blocking()
-                                      : kDefaultBlocking;
+  const BlockingParams blocking = active_blocking();
   run.tile_m = blocking.mc;
   run.tile_n = blocking.nc;
   const std::size_t target = 4 * workers;
@@ -523,18 +512,11 @@ void gemm_simd(ConstView a, ConstView b, View c) {
 }
 
 void gemm_simd_with_blocking(ConstView a, ConstView b, View c,
-                             const BlockingParams& blocking,
-                             std::optional<MicroKernelVariant> variant) {
+                             const BlockingParams& blocking) {
   check_shapes(a, b, c);
-  const MicroKernelVariant chosen =
-      variant.value_or(active_micro_kernel_variant());
-  HMXP_REQUIRE(micro_kernel_supported(chosen),
-               std::string("micro-kernel ") +
-                   micro_kernel_variant_name(chosen) +
-                   " cannot execute on this CPU");
-  validate_blocking(blocking, micro_kernel_mr(chosen),
-                    micro_kernel_nr(chosen));
-  gemm_packed_unchecked(a, b, c, micro_kernel_info(chosen), blocking);
+  const MicroKernelInfo mk = micro_kernel_info();
+  validate_blocking(blocking, mk.mr, mk.nr);
+  gemm_packed_unchecked(a, b, c, mk, blocking);
 }
 
 std::size_t pack_buffer_allocations() {

@@ -29,8 +29,6 @@
 
 #include <cstddef>
 
-#include <optional>
-
 #include "matrix/kernel_dispatch.hpp"
 #include "matrix/matrix.hpp"
 #include "matrix/tuning.hpp"
@@ -44,19 +42,16 @@ void gemm_naive(ConstView a, ConstView b, View c);
 void gemm_tiled(ConstView a, ConstView b, View c);
 
 /// Packed micro-kernel path (the "simd" tier); same contract. Blocking
-/// comes from matrix/tuning.hpp's active_blocking() (forced pin >
-/// tuning cache > at-first-use search > 120/256/512 default).
+/// comes from matrix/tuning.hpp's active_blocking() (a forced pin, or
+/// else the 120/256/512 constant).
 void gemm_simd(ConstView a, ConstView b, View c);
 
-/// Packed path with an explicit blocking (validated against the
-/// micro-kernel's register tile; throws std::invalid_argument on an
-/// absurd one). Never consults active_blocking(), so the autotuner's
-/// measurement sweep -- and blocking-edge tests -- run through here
-/// without recursing into resolution. `variant` defaults to the active
-/// micro-kernel; pinning one the host cannot execute throws.
-void gemm_simd_with_blocking(
-    ConstView a, ConstView b, View c, const BlockingParams& blocking,
-    std::optional<MicroKernelVariant> variant = std::nullopt);
+/// Packed path with an explicit blocking on the active micro-kernel
+/// (validated against its register tile; throws std::invalid_argument
+/// on an absurd one). Never consults active_blocking(), so
+/// blocking-edge tests and benches run any blocking without pinning.
+void gemm_simd_with_blocking(ConstView a, ConstView b, View c,
+                             const BlockingParams& blocking);
 
 /// Number of times any thread's packing buffers grew since process
 /// start. The buffers are grow-only: after a warm-up call at the

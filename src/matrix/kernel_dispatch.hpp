@@ -29,9 +29,8 @@
 //      change an experiment;
 //   3. kPacked with the widest micro-kernel cpuid reports.
 //
-// Blocking parameters (MC/KC/NC) for the packed tier are the third
-// runtime axis; they live in matrix/tuning.hpp (searched at first use,
-// persisted per host).
+// Blocking parameters (MC/KC/NC) for the packed tier live in
+// matrix/tuning.hpp: one constant, which tests may pin to another.
 #pragma once
 
 #include <cstddef>

@@ -1,32 +1,14 @@
 #include "matrix/tuning.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <limits>
-#include <mutex>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include <unistd.h>
-
-#include "matrix/gemm.hpp"
-#include "matrix/matrix.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
-#include "util/strings.hpp"
 
 namespace hmxp::matrix {
 
 namespace {
-
-/// Bumped whenever the candidate space, measurement or file format
-/// changes: a stale cache must re-tune, never install old winners.
-constexpr const char* kCacheHeader = "hmxp-tune v1";
 
 constexpr std::size_t kMaxMcBound = 4096;
 constexpr std::size_t kMaxNcBound = 16384;
@@ -34,136 +16,11 @@ constexpr std::size_t kMinKc = 4;
 constexpr std::size_t kMaxKc = 8192;
 constexpr std::size_t kMaxPackedBytes = 256 * 1024 * 1024;
 
-std::size_t round_down_to(std::size_t value, std::size_t unit) {
-  return std::max(unit, value / unit * unit);
-}
-
-/// Key fragments must survive a line-oriented tab-separated file.
-std::string sanitize_key_fragment(const std::string& raw) {
-  std::string out = raw;
-  for (char& ch : out)
-    if (ch == '\t' || ch == '\n' || ch == '\r' || ch == ' ') ch = '_';
-  return out;
-}
-
-/// First "model name" line of /proc/cpuinfo; "unknown-cpu" elsewhere.
-/// This keys the tuning cache: two hosts sharing a file never install
-/// each other's winners unless the silicon actually matches.
-const std::string& cpu_model_string() {
-  static const std::string model = [] {
-    std::ifstream cpuinfo("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(cpuinfo, line)) {
-      const auto colon = line.find(':');
-      if (colon == std::string::npos) continue;
-      if (line.rfind("model name", 0) == 0) {
-        std::string value = line.substr(colon + 1);
-        const auto begin = value.find_first_not_of(" \t");
-        if (begin != std::string::npos) return value.substr(begin);
-      }
-    }
-    return std::string("unknown-cpu");
-  }();
-  return model;
-}
-
-std::optional<std::size_t> parse_sysfs_cache_size(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  std::size_t value = 0;
-  std::size_t i = 0;
-  for (; i < text.size() && text[i] >= '0' && text[i] <= '9'; ++i)
-    value = value * 10 + static_cast<std::size_t>(text[i] - '0');
-  if (i == 0) return std::nullopt;
-  if (i < text.size()) {
-    if (text[i] == 'K')
-      value *= 1024;
-    else if (text[i] == 'M')
-      value *= 1024 * 1024;
-    else if (text[i] == 'G')
-      value *= 1024 * 1024 * 1024;
-  }
-  return value;
-}
-
-std::string read_sysfs_line(const std::filesystem::path& path) {
-  std::ifstream stream(path);
-  std::string line;
-  std::getline(stream, line);
-  while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
-    line.pop_back();
-  return line;
-}
-
-// ---- tune mode --------------------------------------------------------------
-
-std::atomic<int> programmatic_tune_mode{-1};
-
-// ---- forced blocking overlay ------------------------------------------------
-
 // params written before ready.store(release); readers load(acquire)
 // first. Re-pinning while GEMM runs concurrently is documented unsafe
 // (same contract as force_kernel_tier).
 std::atomic<bool> forced_ready{false};
 BlockingParams forced_params;
-
-// ---- resolved (tuned) blocking per variant ----------------------------------
-
-struct ResolvedSlot {
-  std::atomic<bool> ready{false};
-  BlockingParams params;
-  const char* source = "";
-  std::size_t measured = 0;
-};
-
-ResolvedSlot resolved_slots[3];
-std::mutex resolve_mutex;
-
-ResolvedSlot& slot_for(MicroKernelVariant variant) {
-  return resolved_slots[static_cast<int>(variant)];
-}
-
-// ---- cache path override ----------------------------------------------------
-
-std::mutex cache_override_mutex;
-std::optional<std::string> cache_override;
-
-// ---- measurement ------------------------------------------------------------
-
-/// Per-candidate score: best wall time over `reps` fixed-work GEMMs,
-/// measured in INTERLEAVED rounds (round-robin over the candidates)
-/// so machine-wide drift -- another process waking up mid-sweep --
-/// lands on every candidate instead of whichever happened to be
-/// timed then. The problem size is a multiple of every register tile
-/// (96 and 480 are multiples of lcm(4,6,8) = 24) so no candidate is
-/// penalized by edge handling; debug builds and smoke mode shrink it
-/// -- there the pipeline matters, not the ranking.
-std::vector<double> measure_candidates(
-    const std::vector<BlockingParams>& candidates,
-    MicroKernelVariant variant, std::size_t n, int reps) {
-  util::Rng rng(0x7A11ED);
-  const Matrix a = Matrix::random(n, n, rng);
-  const Matrix b = Matrix::random(n, n, rng);
-  Matrix c(n, n, 0.0);
-  // Warm-up pass: fault in the matrices and grow the pack buffers to
-  // every candidate's footprint outside the timed rounds.
-  for (const BlockingParams& params : candidates)
-    gemm_simd_with_blocking(a.view(), b.view(), c.view(), params, variant);
-  std::vector<double> best(candidates.size(),
-                           std::numeric_limits<double>::infinity());
-  for (int rep = 0; rep < reps; ++rep) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const auto begin = std::chrono::steady_clock::now();
-      gemm_simd_with_blocking(a.view(), b.view(), c.view(), candidates[i],
-                              variant);
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        begin)
-              .count();
-      best[i] = std::min(best[i], seconds);
-    }
-  }
-  return best;
-}
 
 }  // namespace
 
@@ -197,348 +54,9 @@ void validate_blocking(const BlockingParams& params, std::size_t mr,
                    " would pack more than 256 MiB");
 }
 
-const CacheHierarchy& detect_cache_hierarchy() {
-  static const CacheHierarchy hierarchy = [] {
-    CacheHierarchy result;
-    namespace fs = std::filesystem;
-    const fs::path base("/sys/devices/system/cpu/cpu0/cache");
-    std::error_code ec;
-    if (!fs::is_directory(base, ec)) return result;
-    for (const auto& entry : fs::directory_iterator(base, ec)) {
-      const fs::path dir = entry.path();
-      if (dir.filename().string().rfind("index", 0) != 0) continue;
-      const std::string level = read_sysfs_line(dir / "level");
-      const std::string type = read_sysfs_line(dir / "type");
-      const auto size = parse_sysfs_cache_size(read_sysfs_line(dir / "size"));
-      if (!size.has_value() || *size == 0) continue;
-      if (level == "1" && type == "Data") {
-        result.l1d_bytes = *size;
-        result.detected = true;
-      } else if (level == "2" && type != "Instruction") {
-        result.l2_bytes = *size;
-        result.detected = true;
-      } else if (level == "3" && type != "Instruction") {
-        result.l3_bytes = *size;
-        result.detected = true;
-      }
-    }
-    return result;
-  }();
-  return hierarchy;
-}
-
-std::vector<BlockingParams> blocking_candidates(const CacheHierarchy& caches,
-                                                std::size_t mr,
-                                                std::size_t nr, bool smoke) {
-  HMXP_REQUIRE(mr > 0 && nr > 0, "register tile must be nonzero");
-  // Analytic BLIS seeding: the streamed KC x NR B sliver plus the
-  // KC x MR A sliver should occupy about half of L1d; the MC x KC A
-  // panel half of L2; the KC x NC B panel half of L3 (capped -- a
-  // panel bigger than a few MiB stops paying even on huge LLCs).
-  const auto fit_kc = [&](std::size_t scale_num, std::size_t scale_den) {
-    const std::size_t raw = caches.l1d_bytes * scale_num /
-                            (scale_den * 2 * sizeof(double) * (mr + nr));
-    return std::clamp<std::size_t>(raw, 32, 2048);
-  };
-  const auto fit_mc = [&](std::size_t kc) {
-    const std::size_t raw = caches.l2_bytes / (2 * sizeof(double) * kc);
-    return std::clamp<std::size_t>(round_down_to(raw, mr), mr, kMaxMcBound);
-  };
-  const auto fit_nc = [&](std::size_t kc) {
-    const std::size_t raw =
-        std::min<std::size_t>(caches.l3_bytes / (2 * sizeof(double) * kc),
-                              kMaxNcBound / 4);
-    return std::clamp<std::size_t>(round_down_to(raw, nr), nr, kMaxNcBound);
-  };
-
-  std::vector<BlockingParams> candidates;
-  const auto push = [&](BlockingParams params) {
-    try {
-      validate_blocking(params, mr, nr);
-    } catch (const std::invalid_argument&) {
-      return;  // a hierarchy so odd the seed fell out of range
-    }
-    if (std::find(candidates.begin(), candidates.end(), params) ==
-        candidates.end())
-      candidates.push_back(params);
-  };
-
-  // The historical baseline is always candidate zero: the search can
-  // surface a better blocking but never regress below 120/256/512.
-  push(kDefaultBlocking);
-  const std::size_t kc0 = fit_kc(1, 1);
-  push({fit_mc(kc0), kc0, fit_nc(kc0)});
-  if (smoke) {
-    // Bounded deterministic set for CI: baseline + analytic + one
-    // half-MC neighbor.
-    push({round_down_to(std::max(fit_mc(kc0) / 2, mr), mr), kc0,
-          fit_nc(kc0)});
-    return candidates;
-  }
-  for (const auto& [num, den] :
-       {std::pair<std::size_t, std::size_t>{1, 2}, {2, 1}}) {
-    const std::size_t kc = fit_kc(num, den);
-    push({fit_mc(kc), kc, fit_nc(kc)});
-  }
-  const std::size_t mc0 = fit_mc(kc0);
-  const std::size_t nc0 = fit_nc(kc0);
-  push({round_down_to(std::max(mc0 / 2, mr), mr), kc0, nc0});
-  push({std::min(kMaxMcBound, mc0 * 2), kc0, nc0});
-  push({mc0, kc0, round_down_to(std::max(nc0 / 2, nr), nr)});
-  return candidates;
-}
-
-const char* tune_mode_name(TuneMode mode) {
-  switch (mode) {
-    case TuneMode::kOff:
-      return "off";
-    case TuneMode::kAuto:
-      return "auto";
-    case TuneMode::kForce:
-      return "force";
-    case TuneMode::kSmoke:
-      return "smoke";
-  }
-  return "unknown";
-}
-
-std::optional<TuneMode> parse_tune_mode(const std::string& name) {
-  const std::string lower = util::to_lower(name);
-  if (lower == "off" || lower == "0" || lower == "none") return TuneMode::kOff;
-  if (lower == "auto" || lower == "on") return TuneMode::kAuto;
-  if (lower == "force" || lower == "retune") return TuneMode::kForce;
-  if (lower == "smoke") return TuneMode::kSmoke;
-  return std::nullopt;
-}
-
-void set_tune_mode(std::optional<TuneMode> mode) {
-  programmatic_tune_mode.store(
-      mode.has_value() ? static_cast<int>(*mode) : -1,
-      std::memory_order_relaxed);
-}
-
-TuneMode active_tune_mode() {
-  const int programmatic =
-      programmatic_tune_mode.load(std::memory_order_relaxed);
-  if (programmatic >= 0) return static_cast<TuneMode>(programmatic);
-  const char* env = std::getenv("HMXP_TUNE");
-  if (env == nullptr || *env == '\0') return TuneMode::kAuto;
-  const std::optional<TuneMode> mode = parse_tune_mode(env);
-  HMXP_REQUIRE(mode.has_value(),
-               std::string("HMXP_TUNE must be off, auto, force or smoke, "
-                           "got \"") +
-                   env + '"');
-  return *mode;
-}
-
-void set_tuning_cache_override(std::optional<std::string> path_or_off) {
-  const std::lock_guard<std::mutex> lock(cache_override_mutex);
-  cache_override = std::move(path_or_off);
-}
-
-std::string tuning_cache_path() {
-  {
-    const std::lock_guard<std::mutex> lock(cache_override_mutex);
-    if (cache_override.has_value())
-      return util::to_lower(*cache_override) == "off" ? std::string()
-                                                      : *cache_override;
-  }
-  const char* env = std::getenv("HMXP_TUNE_CACHE");
-  if (env != nullptr && *env != '\0')
-    return util::to_lower(env) == "off" ? std::string() : std::string(env);
-  if (const char* xdg = std::getenv("XDG_CACHE_HOME");
-      xdg != nullptr && *xdg != '\0')
-    return std::string(xdg) + "/hmxp/tuning";
-  if (const char* home = std::getenv("HOME"); home != nullptr && *home != '\0')
-    return std::string(home) + "/.cache/hmxp/tuning";
-  return std::string();  // nowhere sane to persist
-}
-
-std::string tuning_cache_key(MicroKernelVariant variant) {
-  return sanitize_key_fragment(cpu_model_string()) + '|' +
-         micro_kernel_variant_name(variant) + "|mr" +
-         std::to_string(micro_kernel_mr(variant)) + "nr" +
-         std::to_string(micro_kernel_nr(variant));
-}
-
-namespace {
-
-/// Strict whole-file parse; nullopt on ANY anomaly (missing, stale
-/// header, malformed line) -- a suspect cache is treated as absent.
-std::optional<std::vector<std::pair<std::string, BlockingParams>>>
-parse_cache_file(const std::string& path) {
-  std::ifstream stream(path);
-  if (!stream.is_open()) return std::nullopt;
-  std::string line;
-  if (!std::getline(stream, line) || line != kCacheHeader)
-    return std::nullopt;
-  std::vector<std::pair<std::string, BlockingParams>> entries;
-  while (std::getline(stream, line)) {
-    if (line.empty()) continue;
-    const auto tab = line.find('\t');
-    if (tab == std::string::npos || tab == 0) return std::nullopt;
-    std::istringstream values(line.substr(tab + 1));
-    BlockingParams params;
-    if (!(values >> params.mc >> params.kc >> params.nc))
-      return std::nullopt;
-    std::string trailing;
-    if (values >> trailing) return std::nullopt;
-    entries.emplace_back(line.substr(0, tab), params);
-  }
-  return entries;
-}
-
-}  // namespace
-
-std::optional<BlockingParams> load_tuned_blocking(const std::string& path,
-                                                  const std::string& key) {
-  if (path.empty()) return std::nullopt;
-  try {
-    const auto entries = parse_cache_file(path);
-    if (!entries.has_value()) return std::nullopt;
-    for (const auto& [entry_key, params] : *entries)
-      if (entry_key == key) return params;
-  } catch (...) {
-    // Filesystem/locale surprises read as "no cache", never a crash.
-  }
-  return std::nullopt;
-}
-
-bool store_tuned_blocking(const std::string& path, const std::string& key,
-                          const BlockingParams& params) {
-  if (path.empty()) return false;
-  try {
-    namespace fs = std::filesystem;
-    const fs::path target(path);
-    std::error_code ec;
-    if (target.has_parent_path())
-      fs::create_directories(target.parent_path(), ec);
-    // Keep every other host/variant entry a concurrent process may
-    // have written; replace ours.
-    auto entries = parse_cache_file(path).value_or(
-        std::vector<std::pair<std::string, BlockingParams>>{});
-    entries.erase(std::remove_if(entries.begin(), entries.end(),
-                                 [&](const auto& entry) {
-                                   return entry.first == key;
-                                 }),
-                  entries.end());
-    entries.emplace_back(key, params);
-    const fs::path tmp =
-        target.string() + ".tmp." + std::to_string(::getpid());
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      if (!out.is_open()) return false;
-      out << kCacheHeader << '\n';
-      for (const auto& [entry_key, entry] : entries)
-        out << entry_key << '\t' << entry.mc << ' ' << entry.kc << ' '
-            << entry.nc << '\n';
-      if (!out.good()) {
-        out.close();
-        fs::remove(tmp, ec);
-        return false;
-      }
-    }
-    fs::rename(tmp, target, ec);  // atomic: readers see old or new file
-    if (ec) {
-      fs::remove(tmp, ec);
-      return false;
-    }
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-TuneOutcome resolve_blocking(MicroKernelVariant variant) {
-  if (forced_ready.load(std::memory_order_acquire))
-    return {forced_params, "forced", 0};
-
-  ResolvedSlot& slot = slot_for(variant);
-  if (slot.ready.load(std::memory_order_acquire))
-    return {slot.params, slot.source, slot.measured};
-
-  const std::lock_guard<std::mutex> lock(resolve_mutex);
-  if (slot.ready.load(std::memory_order_relaxed))
-    return {slot.params, slot.source, slot.measured};
-
-  const std::size_t mr = micro_kernel_mr(variant);
-  const std::size_t nr = micro_kernel_nr(variant);
-  const TuneMode mode = active_tune_mode();
-
-  BlockingParams chosen = kDefaultBlocking;
-  const char* source = "off";
-  std::size_t measured = 0;
-
-  if (mode != TuneMode::kOff) {
-    const std::string path = tuning_cache_path();
-    const std::string key = tuning_cache_key(variant);
-    bool resolved_from_cache = false;
-    if (mode == TuneMode::kAuto && !path.empty()) {
-      if (const auto cached = load_tuned_blocking(path, key);
-          cached.has_value()) {
-        try {
-          validate_blocking(*cached, mr, nr);
-          chosen = *cached;
-          source = "cache";
-          resolved_from_cache = true;
-        } catch (const std::invalid_argument&) {
-          // An absurd cached entry is corruption: fall through and
-          // re-tune.
-        }
-      }
-    }
-    if (!resolved_from_cache && micro_kernel_supported(variant)) {
-      const std::vector<BlockingParams> candidates = blocking_candidates(
-          detect_cache_hierarchy(), mr, nr, mode == TuneMode::kSmoke);
-#if defined(NDEBUG)
-      // 480 (a multiple of every register tile) is large enough that
-      // the ranking generalizes to production panel sizes -- small
-      // probes systematically reward cache-oversized MC/NC that lose
-      // at real shapes. Still ~5 ms per rep on a vectorized host: the
-      // whole sweep is well under a second, paid once per host.
-      const std::size_t problem = mode == TuneMode::kSmoke ? 96 : 480;
-      const int reps = mode == TuneMode::kSmoke ? 1 : 3;
-#else
-      // Debug timings rank nothing meaningful; keep the sweep cheap.
-      const std::size_t problem = 96;
-      const int reps = 1;
-#endif
-      // candidates[0] is ALWAYS the historical baseline (see
-      // blocking_candidates). Time it twice -- first and last -- so
-      // the spread between its two samples estimates this host's
-      // timing noise, and demand a challenger beat it by twice that
-      // (3% floor): the tie goes to the baseline, because persisting
-      // a chance win would regress every later run on this host.
-      std::vector<BlockingParams> timed = candidates;
-      timed.push_back(timed.front());
-      const std::vector<double> times =
-          measure_candidates(timed, variant, problem, reps);
-      measured = candidates.size();
-      const double base = std::min(times.front(), times.back());
-      const double spread = (std::max(times.front(), times.back()) - base) /
-                            base;
-      const double margin = std::min(0.25, std::max(0.03, 2.0 * spread));
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < candidates.size(); ++i)
-        if (times[i] < times[best]) best = i;
-      if (best != 0 && times[best] > base * (1.0 - margin)) best = 0;
-      chosen = candidates[best];
-      source = "search";
-      if (!path.empty()) store_tuned_blocking(path, key, chosen);
-    }
-  }
-
-  validate_blocking(chosen, mr, nr);
-  slot.params = chosen;
-  slot.source = source;
-  slot.measured = measured;
-  slot.ready.store(true, std::memory_order_release);
-  return {chosen, source, measured};
-}
-
 BlockingParams active_blocking() {
   if (forced_ready.load(std::memory_order_acquire)) return forced_params;
-  return resolve_blocking(active_micro_kernel_variant()).params;
+  return kDefaultBlocking;
 }
 
 void force_blocking(std::optional<BlockingParams> params) {
@@ -558,11 +76,13 @@ std::optional<BlockingParams> forced_blocking() {
   return forced_params;
 }
 
-void invalidate_resolved_blocking() {
-  const std::lock_guard<std::mutex> lock(resolve_mutex);
-  for (ResolvedSlot& slot : resolved_slots)
-    slot.ready.store(false, std::memory_order_release);
+TuneOutcome resolve_blocking(MicroKernelVariant /*variant*/) {
+  if (const auto forced = forced_blocking(); forced.has_value())
+    return {*forced, "forced"};
+  return {kDefaultBlocking, "default"};
 }
+
+std::string tuning_cache_path() { return std::string(); }
 
 KernelConfig current_kernel_config() {
   KernelConfig config;
@@ -570,9 +90,7 @@ KernelConfig current_kernel_config() {
   config.active_tier = active_kernel_tier();
   config.forced_variant = forced_micro_kernel_variant();
   config.active_variant = active_micro_kernel_variant();
-  // Only the packed tier consumes a blocking; resolving it here (and
-  // only here) keeps the autotune search in the master, before any
-  // fork, so children inherit an already-tuned configuration.
+  // Only the packed tier consumes a blocking.
   config.blocking = config.active_tier == KernelTier::kPacked
                         ? active_blocking()
                         : kDefaultBlocking;

@@ -96,8 +96,7 @@ std::string sanitize_key_fragment(const std::string& raw) {
 }
 
 /// First "model name" line of /proc/cpuinfo; "unknown-cpu" elsewhere.
-/// Same role as the tuning cache's CPU key: estimates only reheat on
-/// matching silicon.
+/// Keys the cache: estimates only reheat on matching silicon.
 const std::string& cpu_model_string() {
   static const std::string model = [] {
     std::ifstream cpuinfo("/proc/cpuinfo");

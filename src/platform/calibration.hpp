@@ -110,17 +110,18 @@ struct CalibrationOptions {
 // ---- calibration persistence ------------------------------------------------
 //
 // A long-lived service loses everything it learned about its workers on
-// restart; these helpers give SpeedEstimate the same host-keyed cache
-// the kernel autotuner has. The file lives next to the tuning cache,
-// follows its discipline -- strict whole-file parse (any anomaly reads
-// as "no cache"), atomic tmp+rename writes, never a crash -- and keys
-// entries by CPU model + a caller-supplied fleet label + worker count,
-// so a fleet only reheats ITS OWN calibration on matching silicon.
+// restart; these helpers give SpeedEstimate a host-keyed cache file.
+// Its discipline: strict whole-file parse (any anomaly reads as "no
+// cache"), atomic tmp+rename writes, never a crash. Entries are keyed
+// by CPU model + a caller-supplied fleet label + worker count, so a
+// fleet only reheats ITS OWN calibration on matching silicon.
 
 /// Resolved cache file path: programmatic override (set below), then
-/// the HMXP_CALIB_CACHE environment variable, then "<tuning cache
-/// directory>/calibration". The value "off" (override or env) and an
-/// unresolvable location both yield "" = persistence disabled.
+/// the HMXP_CALIB_CACHE environment variable, then
+/// $XDG_CACHE_HOME/hmxp/calibration (falling back to
+/// $HOME/.cache/hmxp/calibration). The value "off" (override or env)
+/// and an unresolvable location (no HOME) both yield "" = persistence
+/// disabled.
 std::string calibration_cache_path();
 
 /// Overrides the cache location for this process ("off" disables,

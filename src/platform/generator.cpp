@@ -102,6 +102,10 @@ Platform fully_hetero(double ratio, const CalibrationConstants& constants) {
 Platform random_platform(util::Rng& rng, int p,
                          const CalibrationConstants& constants) {
   HMXP_REQUIRE(p >= 1, "need at least one worker");
+  // Named after the generator's state at this call, read from a copy so
+  // that no draw is used up: successive draws from one generator get
+  // distinct names, and a replayed seed gets the same ones.
+  const std::string name = "random-" + std::to_string(util::Rng(rng)());
   std::vector<WorkerSpec> workers;
   for (int i = 0; i < p; ++i) {
     PhysicalSpec spec = base_spec();
@@ -112,8 +116,7 @@ Platform random_platform(util::Rng& rng, int p,
     spec.label = "rnd" + std::to_string(i + 1);
     workers.push_back(calibrate(spec, constants));
   }
-  return Platform("random-seed" + std::to_string(rng.seed()),
-                  std::move(workers));
+  return Platform(name, std::move(workers));
 }
 
 namespace {

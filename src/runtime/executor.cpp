@@ -403,8 +403,8 @@ class OnlineExecutor final : public sim::ExecutionView {
     for (const Hold hold : hold_)
       report.fleet_workers_used += hold != Hold::kNever;
     report.kernel_variant = matrix::packed_kernel_variant();
-    // Mirrors the hello handshake: a tuned blocking only when the
-    // packed tier actually ran; zeros document "no blocking consumed".
+    // Mirrors the hello handshake: a blocking only when the packed
+    // tier actually ran; zeros document "no blocking consumed".
     report.kernel_blocking =
         matrix::active_kernel_tier() == matrix::KernelTier::kPacked
             ? matrix::active_blocking()

@@ -103,11 +103,11 @@ int SocketPairs::release_master(std::size_t i) {
   BufferPool pool;
   try {
     // fork() inherits the dispatch statics, but the master's full kernel
-    // configuration -- tier, micro-kernel variant AND the tuned blocking
-    // -- is re-asserted explicitly (and exported) so the guarantee holds
+    // configuration -- tier, micro-kernel variant AND the blocking --
+    // is re-asserted explicitly (and exported) so the guarantee holds
     // for a transport that execs instead of forking, and for the
-    // worker's own children: the child can never re-resolve (or re-tune)
-    // differently from the master.
+    // worker's own children: the child can never resolve differently
+    // from the master.
     matrix::install_kernel_config(config);
     serve(pool);
   } catch (const std::exception& error) {
@@ -334,7 +334,7 @@ bool ForkedEndpoint::adopt(Acceptor& acceptor) {
     ::close(fd);
     mark_failed(
         "booted with a divergent kernel configuration "
-        "(tier/micro-kernel/tuned blocking)");
+        "(tier/micro-kernel/blocking)");
     return false;
   }
   serde::HelloFrame ack = expected_hello_;

@@ -90,12 +90,11 @@ class SocketPairs {
 };
 
 /// The child's entry after fork_worker: installs `config` (the kernel
-/// configuration the master resolved -- and possibly autotuned -- before
-/// forking), runs `serve` and _exits 0 once it returns (the master said
-/// goodbye). An exception out of `serve` is the worker's death: `notify`
-/// gets its what() text to ship as a kError notice (best effort -- if
-/// the socket is gone the EOF alone carries the news) and the child
-/// _exits 2.
+/// configuration the master captured before forking), runs `serve` and
+/// _exits 0 once it returns (the master said goodbye). An exception out
+/// of `serve` is the worker's death: `notify` gets its what() text to
+/// ship as a kError notice (best effort -- if the socket is gone the
+/// EOF alone carries the news) and the child _exits 2.
 [[noreturn]] void run_worker_child(
     const matrix::KernelConfig& config,
     const std::function<void(BufferPool&)>& serve,

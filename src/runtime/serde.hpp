@@ -125,12 +125,11 @@ inline constexpr std::uint32_t kProtocolVersion = 3;
 /// Bootstrap handshake payload: protocol identity (magic + version),
 /// the worker's identity token and advertised host resources, and its
 /// full kernel configuration -- dispatch tier, micro-kernel
-/// variant, and the tuned blocking parameters -- so the master can
-/// verify a forked worker computes with the IDENTICAL configuration it
-/// resolved (autotuned) before forking. A divergent worker (stale env
-/// pin, different tuned blocking) would silently produce different tile
-/// timings; the handshake turns that into an immediate, attributable
-/// failure.
+/// variant, and the blocking parameters -- so the master can verify a
+/// forked worker computes with the IDENTICAL configuration it captured
+/// before forking. A divergent worker (stale env pin, different
+/// blocking pin) would silently produce different tile timings; the
+/// handshake turns that into an immediate, attributable failure.
 struct HelloFrame {
   std::uint32_t magic = kProtocolMagic;
   std::uint32_t version = kProtocolVersion;

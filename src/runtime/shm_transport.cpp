@@ -770,8 +770,8 @@ class ShmTransport final : public Transport {
         acks_(static_cast<std::size_t>(workers)),
         rings_(static_cast<std::size_t>(workers)),
         endpoint_stats_(static_cast<std::size_t>(workers)) {
-    // Resolve (possibly autotune) the blocking in the master, before
-    // any fork; children re-assert and answer for exactly this state.
+    // Capture the kernel configuration in the master, before any fork;
+    // children re-assert and answer for exactly this state.
     const matrix::KernelConfig config = matrix::current_kernel_config();
     const serde::HelloFrame expected_hello = serde::local_hello(config);
     const std::uint64_t max_frame_bytes =

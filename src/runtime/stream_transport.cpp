@@ -327,10 +327,8 @@ class StreamTransport final : public Transport {
     // Capture the kernel configuration ONCE, in the master, before any
     // fork: the explicit pins (force_kernel_tier / --kernel,
     // force_micro_kernel_variant), the tier/variant the dispatch
-    // resolved, and the tuned BlockingParams. current_kernel_config()
-    // RESOLVES the blocking -- running the autotune search now, in the
-    // master -- so every child inherits a settled winner and re-asserts
-    // exactly this state instead of re-tuning behind the fork.
+    // resolved, and the BlockingParams. Every child re-asserts exactly
+    // this state and echoes it in its hello.
     const matrix::KernelConfig config = matrix::current_kernel_config();
     const serde::HelloFrame expected_hello = serde::local_hello(config);
     const std::uint64_t max_frame_bytes =

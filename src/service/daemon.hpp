@@ -11,7 +11,8 @@
 //    population, never by the number of jobs served;
 //  * per-worker calibration: SpeedEstimates accumulate across jobs and
 //    persist across daemon restarts (platform/calibration.hpp cache);
-//  * kernel tuning: resolved once per process, shared by every job.
+//  * the kernel configuration: captured once, at fleet spawn, and
+//    shared by every job.
 //
 // Concurrency: up to max_concurrent_jobs run at once, each as its own
 // master loop over a DISJOINT lease of workers. The lease manager in
@@ -57,7 +58,8 @@ struct DaemonConfig {
   /// Keys the persistent calibration cache (with CPU model + size).
   std::string fleet_label = "service";
   /// Calibration cache file override: nullopt = default resolution
-  /// chain (HMXP_CALIB_CACHE env, then next to the tuning cache),
+  /// chain (HMXP_CALIB_CACHE env, then
+  /// $XDG_CACHE_HOME/hmxp/calibration or ~/.cache/hmxp/calibration),
   /// "off" = no persistence. Tests point this at a temp file.
   std::optional<std::string> calibration_cache;
 };

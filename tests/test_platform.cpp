@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "platform/calibration.hpp"
 #include "platform/generator.hpp"
@@ -161,6 +163,30 @@ TEST(Generators, RandomPlatformWithinRatioFour) {
     EXPECT_LE(w_max / w_min, 4.0 + 1e-9);
     EXPECT_LE(static_cast<double>(m_max) / static_cast<double>(m_min),
               4.0 + 1e-6);
+  }
+}
+
+TEST(Generators, RandomPlatformDrawsAreNamedApart) {
+  const auto names = [] {
+    util::Rng rng(23);
+    std::vector<std::string> out;
+    for (int draw = 0; draw < 30; ++draw)
+      out.push_back(random_platform(rng).name());
+    return out;
+  };
+  const std::vector<std::string> first = names();
+  EXPECT_EQ(std::set<std::string>(first.begin(), first.end()).size(), 30u);
+  // Replaying the seed replays the names, in order.
+  EXPECT_EQ(names(), first);
+
+  // Naming uses up no draw: a call advances the generator by exactly
+  // the 3p uniform draws of the workers' (c, w, m).
+  for (const int p : {1, 8}) {
+    util::Rng rng(23);
+    util::Rng twin(23);
+    random_platform(rng, p);
+    for (int draw = 0; draw < 3 * p; ++draw) twin.uniform();
+    EXPECT_EQ(rng(), twin()) << "p=" << p;
   }
 }
 
