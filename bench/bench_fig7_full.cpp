@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   flags.define("csv", "", "prefix for CSV output files (empty: no CSV)");
   flags.define_bool("quick", false, "only the two ratio platforms");
   flags.define("seed", "20080220", "seed for the ten random platforms");
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   if (flags.help_requested()) {
     std::cout << flags.usage("Figure 7: fully heterogeneous platforms");
     return 0;

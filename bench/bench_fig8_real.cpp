@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   flags.define("csv", "", "prefix for CSV output files (empty: no CSV)");
   flags.define("s", "4000", "width of B in blocks (paper: 4000)");
   flags.define_bool("quick", false, "use s = 1000 for a fast smoke run");
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   if (flags.help_requested()) {
     std::cout << flags.usage("Figure 8: real platform (20 workers)");
     return 0;

@@ -11,8 +11,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -74,23 +74,10 @@ void BM_GemmTiled(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTiled)->Arg(80)->Arg(160)->Arg(320)->Arg(512)->Arg(1024);
 
-/// Stamps which micro-kernel the packed tier ran (one-hot avx512 /
-/// avx2 counters) and the blocking it used, so per-tier GFLOP/s in
-/// BENCH_kernels.json is attributable to a configuration.
-void report_packed_config(benchmark::State& state) {
-  state.counters["avx512"] =
-      std::strcmp(matrix::packed_kernel_variant(), "avx512") == 0 ? 1 : 0;
-  state.counters["avx2"] =
-      std::strcmp(matrix::packed_kernel_variant(), "avx2+fma") == 0 ? 1 : 0;
-  const matrix::BlockingParams blocking = matrix::active_blocking();
-  state.counters["mc"] = static_cast<double>(blocking.mc);
-  state.counters["kc"] = static_cast<double>(blocking.kc);
-  state.counters["nc"] = static_cast<double>(blocking.nc);
-}
-
 void BM_GemmSimd(benchmark::State& state) {
   // The packed micro-kernel path with whatever micro-kernel the host
-  // dispatches and the active blocking (counters mc/kc/nc say which).
+  // dispatches and the active blocking (the JSON context's
+  // hmxp_kernel_variant and hmxp_blocking say which).
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(2);
   const auto a = matrix::Matrix::random(n, n, rng);
@@ -101,7 +88,6 @@ void BM_GemmSimd(benchmark::State& state) {
     benchmark::DoNotOptimize(c.data());
   }
   report_gflops(state, n);
-  report_packed_config(state);
 }
 BENCHMARK(BM_GemmSimd)->Arg(80)->Arg(160)->Arg(320)->Arg(512)->Arg(1024);
 
@@ -121,7 +107,6 @@ void BM_GemmAvx512(benchmark::State& state) {
     benchmark::DoNotOptimize(c.data());
   }
   report_gflops(state, n);
-  report_packed_config(state);
   matrix::force_micro_kernel_variant(previous);
 }
 
@@ -628,6 +613,22 @@ void BM_BandwidthCentricGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_BandwidthCentricGreedy);
 
+/// The JSON file reporter, except that a counter reading 0 in every
+/// repetition gets a cv of 0 (no spread) instead of 0/0: the bare NaN
+/// google-benchmark would write is not JSON, and strict parsers reject
+/// the whole capture.
+class FiniteJsonReporter final : public benchmark::JSONReporter {
+ public:
+  void ReportRuns(const std::vector<Run>& reports) override {
+    std::vector<Run> runs = reports;
+    for (Run& run : runs)
+      for (auto& [name, counter] : run.counters)
+        if (run.aggregate_name == "cv" && std::isnan(counter.value))
+          counter.value = 0;
+    JSONReporter::ReportRuns(runs);
+  }
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -672,9 +673,13 @@ int main(int argc, char** argv) {
         ->Arg(1024);
 
   bool has_out = false;
-  for (const std::string& arg : args)
+  bool json_out = true;
+  for (const std::string& arg : args) {
     if (arg == "--benchmark_out" || arg.rfind("--benchmark_out=", 0) == 0)
       has_out = true;
+    if (arg.rfind("--benchmark_out_format=", 0) == 0)
+      json_out = arg == "--benchmark_out_format=json";
+  }
   if (!has_out) {
     if (!optimized_build) {
       std::cerr << "bench_kernels: DEBUG build -- refusing to auto-write "
@@ -696,7 +701,9 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc_patched,
                                              argv_patched.data()))
     return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  FiniteJsonReporter json;
+  benchmark::RunSpecifiedBenchmarks(
+      nullptr, (has_out || optimized_build) && json_out ? &json : nullptr);
   benchmark::Shutdown();
   return 0;
 }

@@ -133,7 +133,7 @@ std::optional<BenchArgs> parse_bench_args(int argc, char** argv,
   flags.define("kernel", "",
                "pin the GEMM dispatch: naive|tiled|simd|portable|avx2|"
                "avx512 (empty: auto; equivalent to HMXP_FORCE_KERNEL)");
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   if (flags.help_requested()) {
     std::cout << flags.usage(description);
     return std::nullopt;

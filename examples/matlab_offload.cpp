@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   using namespace hmxp;
   util::Flags flags;
   flags.define("s", "800", "width of B in q-blocks for the planning phase");
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   if (flags.help_requested()) {
     std::cout << flags.usage("MATLAB-offload scenario");
     return 0;

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   flags.define("kernel", "",
                "pin the GEMM dispatch: naive|tiled|simd|portable|avx2|"
                "avx512 (empty: auto)");
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   if (flags.help_requested()) {
     std::cout << flags.usage(
         "Online adaptive execution on a drifting platform.");

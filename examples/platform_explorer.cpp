@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   flags.define("axis", "links", "heterogeneity axis: memory|links|compute");
   flags.define("points", "4", "sweep points (degradation 1x .. 2^(points-1)x)");
   flags.define("s", "400", "width of B in q-blocks");
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   if (flags.help_requested()) {
     std::cout << flags.usage("Heterogeneity sweep explorer");
     return 0;

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   flags.define("algorithm", "Het", "one of Hom|HomI|Het|ORROML|OMMOML|ODDOML|BMM");
   flags.define("out", "gantt.csv", "CSV output path");
   flags.define("s", "200", "width of B in q-blocks");
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   if (flags.help_requested()) {
     std::cout << flags.usage("Gantt trace exporter");
     return 0;

@@ -7,14 +7,14 @@
 //     product on generated matrices, and the report carries the
 //     model-projected RunResult its mirror emits (same shape as the
 //     simulator) plus wall-clock and verification facts;
-//   * Backend::kProcess -- the same online runtime over the STREAM
+//   * Backend::kProcess -- the same online runtime over the FORKED
 //     transport: one forked worker process per worker, messages
 //     serialized over a socketpair each -- the in-machine reproduction
 //     of the companion report's real-cluster (MPI) deployment;
 //   * Backend::kShm    -- the same forked isolation, but payloads live
 //     in a pre-fork shared-memory arena and the frames, on shared
 //     rings, only name their slots: zero-copy process isolation;
-//   * Backend::kTcp    -- the stream transport with dialed streams:
+//   * Backend::kTcp    -- the forked transport with dialed sockets:
 //     forked workers DIAL the master's loopback listen socket and
 //     reconnect after a dropped connection -- the in-machine rehearsal
 //     of a real cluster deployment, including the fault-tolerant

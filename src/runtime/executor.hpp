@@ -20,7 +20,7 @@
 //    hypothesis);
 //  * the transport enforces the worker-side buffer limits for real --
 //    bounded channels on the thread transport, explicit buffer credits
-//    on the stream transport; a master pushing past a worker's buffers
+//    on the forked transport; a master pushing past a worker's buffers
 //    blocks -- while a model mirror keeps the ExecutionView bookkeeping
 //    schedulers read;
 //  * heterogeneity can be emulated as in the paper's experiments -- a

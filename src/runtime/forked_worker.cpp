@@ -11,7 +11,6 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 #if defined(__linux__)
 #include <sys/prctl.h>
@@ -33,10 +32,6 @@ using serde::FrameType;
 /// tightly means an unauthenticated peer can never make the master
 /// allocate.
 constexpr std::uint64_t kHandshakeFrameBytes = 4096;
-
-double seconds_since(Clock::time_point begin) {
-  return std::chrono::duration<double>(Clock::now() - begin).count();
-}
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -276,227 +271,6 @@ bool Acceptor::advance(Pending& conn) {
     }
   }
   return true;
-}
-
-// ---- ForkedEndpoint ---------------------------------------------------------
-
-ForkedEndpoint::ForkedEndpoint(int index, pid_t pid, std::uint64_t token,
-                               const serde::HelloFrame& expected_hello,
-                               TransportStats* stats, BufferPool* pool,
-                               std::uint64_t frame_limit, SharedArena* arena)
-    : index_(index),
-      stats_(stats),
-      pool_(pool),
-      arena_(arena),
-      pid_(pid),
-      token_(token),
-      expected_hello_(expected_hello),
-      rx_(frame_limit) {}
-
-void ForkedEndpoint::kill() {
-  if (killed_) return;
-  killed_ = true;
-  if (pid_ > 0 && !reaped_) ::kill(pid_, SIGKILL);
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
-void ForkedEndpoint::drain(BufferPool& pool) {
-  while (!results_.empty()) {
-    results_.front().c.release_to(pool);
-    results_.pop_front();
-  }
-  rx_.clear();
-}
-
-void ForkedEndpoint::wait_hello(Acceptor& acceptor) {
-  const auto deadline = Clock::now() + std::chrono::seconds(30);
-  while (fd_ < 0 && !failed_) {
-    acceptor.poll();
-    if (adopt(acceptor)) return;
-    if (exited()) {
-      mark_failed("exited before its handshake");
-    } else if (Clock::now() >= deadline) {
-      mark_failed("no bootstrap hello within 30s");
-    } else {
-      acceptor.wait(/*timeout_ms=*/10);
-    }
-  }
-}
-
-bool ForkedEndpoint::adopt(Acceptor& acceptor) {
-  serde::HelloFrame hello;
-  const int fd = acceptor.take(token_, &hello);
-  if (fd < 0) return false;
-  // Identity and resource fields legitimately differ per host; the
-  // kernel configuration must be the master's, or the worker would
-  // silently compute with different tile timings.
-  if (!hello.same_kernel_config(expected_hello_)) {
-    ::close(fd);
-    mark_failed(
-        "booted with a divergent kernel configuration "
-        "(tier/micro-kernel/blocking)");
-    return false;
-  }
-  serde::HelloFrame ack = expected_hello_;
-  ack.token = token_;
-  ByteBuffer frame;
-  serde::encode_hello(ack, frame);
-  try {
-    // A fresh connection's send buffer is empty: the ack never blocks.
-    write_exact(fd, frame.data(), frame.size());
-  } catch (const std::exception& error) {
-    ::close(fd);
-    mark_failed(std::string("handshake ack failed: ") + error.what());
-    return false;
-  }
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = fd;
-  rx_.clear();
-  eof_ = false;
-  failed_ = false;
-  error_ = nullptr;
-  return true;
-}
-
-void ForkedEndpoint::mark_failed(const std::string& reason) {
-  if (failed_) return;
-  std::string what = "worker process " + std::to_string(index_) + ": " +
-                     reason;
-  if (pid_ > 0 && !reaped_) {
-    int status = 0;
-    if (::waitpid(pid_, &status, WNOHANG) == pid_) {
-      reaped_ = true;
-      if (WIFSIGNALED(status)) {
-        what += " (killed by signal " + std::to_string(WTERMSIG(status)) +
-                ")";
-      } else if (WIFEXITED(status)) {
-        what += " (exit status " + std::to_string(WEXITSTATUS(status)) + ")";
-      }
-    }
-  }
-  error_ = std::make_exception_ptr(std::runtime_error(what));
-  failed_ = true;
-}
-
-bool ForkedEndpoint::exited() const {
-  if (pid_ <= 0 || reaped_) return true;
-  siginfo_t info;
-  std::memset(&info, 0, sizeof info);
-  // WNOWAIT: leave the zombie for mark_failed to reap and classify.
-  return ::waitid(P_PID, static_cast<id_t>(pid_), &info,
-                  WEXITED | WNOHANG | WNOWAIT) == 0 &&
-         info.si_pid == pid_;
-}
-
-void ForkedEndpoint::dispatch(const std::uint8_t*, std::size_t) {
-  mark_failed("unexpected frame from worker");
-}
-
-void ForkedEndpoint::encode(const WorkerMessage& message) {
-  const auto serde_begin = Clock::now();
-  tx_.clear();
-  serde::encode(message, tx_);
-  stats_->serde_seconds += seconds_since(serde_begin);
-}
-
-std::optional<ResultMessage> ForkedEndpoint::pop_result() {
-  if (results_.empty()) return std::nullopt;
-  ResultMessage result = std::move(results_.front());
-  results_.pop_front();
-  ++stats_->messages_received;
-  return result;
-}
-
-void ForkedEndpoint::pump() {
-  if (eof_ || fd_ < 0) return;
-  constexpr std::size_t kChunk = 1 << 16;
-  for (;;) {
-    const ssize_t n = ::recv(fd_, rx_.reserve(kChunk), kChunk, 0);
-    if (n > 0) {
-      rx_.commit(static_cast<std::size_t>(n));
-      if (static_cast<std::size_t>(n) < kChunk) break;
-      continue;
-    }
-    if (n == 0 || errno == ECONNRESET) {
-      eof_ = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    mark_failed(std::string("recv failed: ") + std::strerror(errno));
-    return;
-  }
-  deliver(rx_);
-  if (eof_ && !failed_ && !discarding_)
-    mark_failed("exited unexpectedly (connection closed)");
-}
-
-void ForkedEndpoint::deliver(serde::FrameSplitter& rx) {
-  try {
-    // A corrupt length or corrupt content alike fails the worker
-    // cleanly: the run recovers under tolerate_faults -- it must never
-    // abort a tolerant run, and a corrupt prefix never sizes a buffer.
-    while (const auto frame = rx.next()) {
-      const std::uint8_t* body = frame->data();
-      const std::size_t size = frame->size();
-      stats_->bytes_received += serde::kLengthBytes + size;
-      const FrameType type = serde::frame_type(body, size);
-      if (type == FrameType::kError) {
-        // A dying worker's notice carries its own root cause.
-        mark_failed(serde::decode_error(body, size));
-      } else if (type == FrameType::kResult) {
-        const auto serde_begin = Clock::now();
-        ResultMessage result = serde::decode_result(body, size, *pool_, arena_);
-        stats_->serde_seconds += seconds_since(serde_begin);
-        if (result.c.in_arena())
-          stats_->bytes_zero_copied += result.c.size() * sizeof(double);
-        if (discarding_)
-          result.c.release_to(*pool_);
-        else
-          results_.push_back(std::move(result));
-      } else {
-        dispatch(body, size);
-      }
-    }
-  } catch (const std::exception& error) {
-    mark_failed(std::string("protocol corruption: ") + error.what());
-  }
-}
-
-void ForkedEndpoint::wait_io(bool want_write, int timeout_ms) {
-  if (eof_ || fd_ < 0) {
-    if (!failed_) mark_failed("connection closed");
-    return;
-  }
-  pollfd entry{fd_, static_cast<short>(POLLIN | (want_write ? POLLOUT : 0)),
-               0};
-  if (::poll(&entry, 1, timeout_ms) < 0 && errno != EINTR) {
-    mark_failed(std::string("poll failed: ") + std::strerror(errno));
-    return;
-  }
-  pump();
-}
-
-void ForkedEndpoint::teardown() noexcept {
-  const bool force = failed_ || fd_ < 0;
-  // Close first: the EOF is what makes a still-draining child exit, so
-  // the blocking reap below cannot hang on a healthy worker.
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  if (pid_ > 0 && !reaped_) {
-    // Killing an exited-but-unreaped child is a no-op (the zombie pins
-    // the pid, so this cannot hit a recycled process).
-    if (force) ::kill(pid_, SIGKILL);
-    int status = 0;
-    while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
-    }
-    reaped_ = true;
-  }
-  // Queued results parsed but never popped hand their storage back
-  // (an arena slot must not stay pinned past the run).
-  results_.clear();
 }
 
 }  // namespace hmxp::runtime

@@ -1,28 +1,25 @@
-// The forked-worker lifecycle shared by every transport whose workers
-// are child processes: the stream transport (process and tcp kinds,
-// stream_transport.cpp) and the shm transport's bootstrap and death
-// channel (shm_transport.cpp). Those transports differ in how payloads
-// move; everything about the child PROCESS lives here once:
+// The forked-worker lifecycle: everything about a worker that is a
+// child PROCESS, whichever pipe carries its frames (the forked
+// transport, forked_transport.cpp, runs kProcess, kTcp and kShm on it):
 //
 //   * spawning -- fork_worker forks with fd hygiene and PR_SET_PDEATHSIG,
 //     SocketPairs pre-creates the per-worker socketpair ends a child
 //     inherits, and run_worker_child is the child's entry: install the
 //     master's kernel configuration, serve, ship a kError notice if the
 //     worker dies of an exception, _exit;
-//   * the handshake -- one hello -> ack exchange for every fork
-//     transport. The child's hello carries its identity token and the
-//     kernel configuration it ACTUALLY runs; it then blocks for the
-//     master's ack. On the master, an Acceptor reads hellos from
-//     connections it accepted on a loopback listen socket or was handed
-//     as socketpair ends, under a tight size bound and a deadline,
-//     rejects strangers (bad magic, wrong protocol version) with a kError
-//     naming both versions, and stages the rest by token until the
-//     owning endpoint claims them;
-//   * the master's per-worker base, ForkedEndpoint: the bounded hello
-//     wait, the socket pump that surfaces kError notices and EOF, the
-//     one place a result frame is decoded, whichever pipe carried it,
-//     death classification from the kError text or the waitpid status,
-//     kill() and reaping.
+//   * the handshake -- one hello -> ack exchange on every worker's
+//     socket, over blocking I/O (runtime/socket_util.hpp). The child's
+//     hello carries its identity token and the kernel configuration it
+//     ACTUALLY runs; it then blocks for the master's ack. On the master,
+//     an Acceptor reads hellos from connections it accepted on a
+//     loopback listen socket or was handed as socketpair ends, under a
+//     tight size bound and a deadline, rejects strangers (bad magic,
+//     wrong protocol version) with a kError naming both versions, and
+//     stages the rest by token until the owning endpoint claims them.
+//
+// After the handshake the socket stays open for the worker's life: it
+// is the data pipe of kProcess and kTcp, and on kShm the death channel
+// that carries a dying worker's error notice and the EOF of a SIGKILL.
 //
 // NOTE on fork without exec: the child deliberately inherits the
 // master's address space (options, schedules, fault_hook closures and
@@ -31,17 +28,14 @@
 // async-signal-safe calls in the child of a multithreaded parent;
 // glibc (every deployment target here) additionally makes malloc
 // fork-safe via its internal atfork handlers, which these children rely
-// on. The master bounds the bootstrap wait (ForkedEndpoint::wait_hello)
-// so even a wedged child fails the run instead of hanging it.
+// on. The master bounds the bootstrap wait (30 s for the hello) so even
+// a wedged child fails the run instead of hanging it.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,7 +44,6 @@
 #include "matrix/tuning.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "runtime/serde.hpp"
-#include "runtime/transport.hpp"
 
 namespace hmxp::runtime {
 
@@ -172,105 +165,6 @@ class Acceptor {
   int listen_fd_ = -1;
   std::vector<Pending> pending_;
   std::vector<Staged> staged_;
-};
-
-/// The master's handle on one forked worker: its child process and the
-/// socket it reports on, whatever carries the payloads. Owns the sticky
-/// death record every fork transport keeps the same way.
-class ForkedEndpoint : public Endpoint {
- public:
-  ForkedEndpoint(const ForkedEndpoint&) = delete;
-  ForkedEndpoint& operator=(const ForkedEndpoint&) = delete;
-  ~ForkedEndpoint() override { teardown(); }
-
-  bool failed() const override { return failed_; }
-  std::exception_ptr error() const override { return error_; }
-  bool killed() const override { return killed_; }
-  /// SIGKILLs the child and shuts the socket down both ways.
-  void kill() override;
-  /// Hands queued results back to `pool` and drops partial input.
-  void drain(BufferPool& pool) override;
-
-  /// The socket the worker reports on, for a poll(2) over many
-  /// workers; -1 once it is closed or at EOF.
-  int event_fd() const { return eof_ ? -1 : fd_; }
-
-  /// Blocks until the worker's hello arrived through `acceptor` and was
-  /// adopted, or the worker is known dead: it exited on the launch pad,
-  /// booted a divergent kernel configuration, or stayed silent for 30 s
-  /// (the fork-from-a-multithreaded-parent hazard, however unlikely
-  /// under glibc, must fail the run loudly, never hang it).
-  void wait_hello(Acceptor& acceptor);
-
- protected:
-  /// `frame_limit` bounds every inbound frame. Results decode their
-  /// inline payloads into `pool` and their slot references against
-  /// `arena` (null when the worker has none).
-  ForkedEndpoint(int index, pid_t pid, std::uint64_t token,
-                 const serde::HelloFrame& expected_hello,
-                 TransportStats* stats, BufferPool* pool,
-                 std::uint64_t frame_limit, SharedArena* arena = nullptr);
-
-  /// Claims this worker's staged connection, if it has one: checks its
-  /// kernel configuration, acks the handshake and makes it the
-  /// endpoint's socket -- clearing a previous failure, which is how a
-  /// reconnected worker is re-admitted. False when there is nothing to
-  /// claim or the claim failed.
-  bool adopt(Acceptor& acceptor);
-
-  /// Handles every whole frame buffered in `rx`, in order: a death
-  /// notice fails the worker with its text, a result is decoded and
-  /// queued (dropped, its storage released, while discarding), any other
-  /// frame goes to dispatch. A corrupt frame fails the worker.
-  void deliver(serde::FrameSplitter& rx);
-  /// Any other frame body; by default it is corrupt.
-  virtual void dispatch(const std::uint8_t* body, std::size_t size);
-
-  /// Marks the worker dead (sticky; the first reason wins), appending
-  /// how the child ended when it already has: the kError text a dying
-  /// worker shipped, or its waitpid status for one that died silently.
-  void mark_failed(const std::string& reason);
-  [[noreturn]] void throw_dead() { std::rethrow_exception(error_); }
-  void throw_if_dead() {
-    if (failed_) throw_dead();
-  }
-  std::optional<ResultMessage> pop_result();
-  /// Encodes `message` into tx_, timed as serialization.
-  void encode(const WorkerMessage& message);
-
-  /// Nonblocking absorb: reads everything available, dispatches complete
-  /// frames, notes EOF (a failure unless the endpoint is shutting down).
-  void pump();
-  /// Polls until the socket is readable (or writable, when asked) or
-  /// `timeout_ms` passed, then pumps.
-  void wait_io(bool want_write = false, int timeout_ms = -1);
-  /// Closes the socket and reaps the child -- SIGKILLing it first when
-  /// it failed or never finished its handshake, since such a child may
-  /// never exit on its own. Idempotent.
-  void teardown() noexcept;
-
-  const int index_;
-  TransportStats* const stats_;
-  BufferPool* const pool_;
-  SharedArena* const arena_;
-  int fd_ = -1;
-  bool eof_ = false;
-  /// Shutting down: results are dropped and EOF is expected.
-  bool discarding_ = false;
-  std::deque<ResultMessage> results_;
-  serde::ByteBuffer tx_;  // the frame being sent
-
- private:
-  bool exited() const;
-
-  pid_t pid_;
-  std::uint64_t token_;
-  serde::HelloFrame expected_hello_;
-  serde::FrameSplitter rx_;  // the socket's bytes
-  std::exception_ptr error_;
-  bool failed_ = false;
-  bool killed_ = false;
-  bool reaped_ = false;
 };
 
 }  // namespace hmxp::runtime

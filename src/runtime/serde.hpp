@@ -1,6 +1,6 @@
-// The one frame format of every forked worker's pipe: the stream
-// transport's sockets (socketpair and loopback TCP), the shm transport's
-// rings, and the handshake and death notices on every worker socket.
+// The one frame format of every forked worker's pipe: its socket
+// (socketpair or loopback TCP) or its shm rings, and the handshake and
+// death notices on every worker socket.
 //
 //   [u64 length][u8 FrameType][fields...]
 //
@@ -18,7 +18,7 @@
 // Integers and doubles are host-endian raw bytes: both ends of every
 // pipe are the same machine by construction.
 //
-// Protocol v3. A run's frame ceiling (max_frame_bytes_for) follows from
+// Protocol v4. A run's frame ceiling (max_frame_bytes_for) follows from
 // its largest payload P: a job has at most n_ab <= P k-steps, so no
 // frame exceeds a result -- one payload plus a 32 B plan step and an 8 B
 // step time per k-step -- or an operand batch of two payloads, plus
@@ -120,7 +120,7 @@ void encode_control(FrameType type, ByteBuffer& out);
 /// wire-visible change; a mismatched peer then gets one clean error
 /// naming both versions instead of silently misparsing the next frame.
 inline constexpr std::uint32_t kProtocolMagic = 0x50584d48;  // "HMXP"
-inline constexpr std::uint32_t kProtocolVersion = 3;
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Bootstrap handshake payload: protocol identity (magic + version),
 /// the worker's identity token and advertised host resources, and its

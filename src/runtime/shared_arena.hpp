@@ -4,8 +4,8 @@
 // same address. Operand and result element windows live in fixed-size
 // 64-byte-aligned slots inside the region; the frames on the shm rings
 // then name a slot (serde's arena home) instead of carrying payload
-// bytes -- the serde and kernel-socket copies of the stream transport
-// disappear from the hot path entirely.
+// bytes -- the serde and kernel-socket copies of a socket pipe disappear
+// from the hot path entirely.
 //
 // The arena is the cross-process sibling of runtime::BufferPool: where
 // the pool recycles heap vectors inside one address space, the arena
@@ -15,8 +15,8 @@
 //
 //   * the master acquires slots (tagging each with the worker it is
 //     destined for) and blocks its send path when none is free -- arena
-//     capacity is backpressure, the natural generalization of the
-//     stream transport's buffer credits;
+//     capacity is backpressure, alongside the buffer credits every
+//     forked worker returns;
 //   * a worker releases consumed operand slots directly through shared
 //     memory -- a single atomic store, so even a SIGKILL cannot leave a
 //     release half-done;

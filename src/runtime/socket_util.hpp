@@ -1,16 +1,19 @@
-// Blocking socket I/O shared by every socket-carrying transport: both
-// sides of the stream transport (socketpair and TCP workers), the shm
-// transport's bootstrap/death channel, and the service wire. One
-// implementation of the EINTR-retry / MSG_NOSIGNAL discipline instead
-// of a copy per transport -- and one place where "the peer vanished" is
-// classified.
+// Blocking socket I/O: the hello -> ack handshake on both sides of
+// every forked worker's socket (runtime/forked_worker.hpp), the death
+// notice a dying worker ships, and the service wire. One implementation
+// of the EINTR-retry / MSG_NOSIGNAL discipline -- and one place where
+// "the peer vanished" is classified. Past the handshake a worker's
+// frames, credits included, go through runtime/byte_pipe.hpp instead:
+// nonblocking writes and buffered reads on the same socket, or the shm
+// rings.
 //
 // Death classification matters to the fault-tolerant path: an EOF in
-// the middle of a frame (or mid-handshake) means the PEER died, which a
-// TCP worker answers by reconnecting and the master by recovering the
-// orphaned chunk -- while a malformed frame means protocol corruption,
-// which is never retried. PeerDisconnected keeps the two distinct where
-// a generic runtime_error conflated them.
+// the middle of a frame (or mid-handshake), or a write to a closed
+// peer, means the PEER died, which a TCP worker answers by reconnecting
+// and the master by recovering the orphaned chunk -- while a malformed
+// frame means protocol corruption, which is never retried.
+// PeerDisconnected keeps the two distinct where a generic runtime_error
+// conflated them; SocketPipe and the forked worker's port throw it too.
 #pragma once
 
 #include <cstddef>

@@ -58,11 +58,9 @@ std::unique_ptr<Transport> make_transport(
                                    run_begin, pool);
     case TransportKind::kProcess:
     case TransportKind::kTcp:
-      return make_stream_transport(kind, workers, inbox_capacity, options,
-                                   run_begin, pool, max_payload_doubles);
     case TransportKind::kShm:
-      return make_shm_transport(workers, inbox_capacity, options, run_begin,
-                                pool, max_payload_doubles);
+      return make_forked_transport(kind, workers, inbox_capacity, options,
+                                   run_begin, pool, max_payload_doubles);
   }
   HMXP_CHECK(false, "unknown transport kind");
   return nullptr;

@@ -5,7 +5,7 @@
 //
 // The master loop (runtime/executor.cpp) is written against this
 // interface only; it never touches a channel, a thread, or a file
-// descriptor. Three transports implement its four kinds:
+// descriptor. Two transports implement its four kinds:
 //
 //   * ThreadTransport (thread_transport.cpp, kThread) -- one std::thread
 //     per worker over bounded in-process channels. Messages move by
@@ -13,53 +13,42 @@
 //     master's leading dimension, and the endpoint copies a lent C
 //     window into a pool vector, because the worker accumulates into
 //     its C and FT rollback and SP twins need the master's untouched.
-//   * StreamTransport (stream_transport.cpp, kProcess and kTcp) -- one
-//     forked worker PROCESS per worker over one byte stream, messages
-//     serialized as length-prefixed frames (runtime/serde.hpp); the
-//     encoder writes a lent window's rows straight into the frame. The
-//     kinds differ only in where a worker's fd comes from: a pre-fork
-//     socketpair(2) end (kProcess), or a dial to the master's loopback
-//     listen socket (kTcp), whose dropped connections may come back --
-//     the worker redials and is re-admitted mid-run. The real isolation
-//     of the paper's MPI deployment: a SIGKILL'd child is a first-class
-//     worker failure the master survives under tolerate_faults.
-//   * ShmTransport (shm_transport.cpp, kShm) -- forked workers whose
-//     whole data plane lives in pre-fork MAP_SHARED memory: payloads in
-//     a SharedArena (the endpoint packs each lent window into a slot it
-//     acquires for the worker, blocking while the arena is full, which
-//     makes arena capacity part of the backpressure rule), a stream's
-//     frames -- naming slots instead of carrying payloads -- in
-//     per-worker SPSC byte rings, and dequeue acknowledgements on a
-//     futex-backed shared ack board. The socketpair survives only as
-//     the bootstrap and death channel (handshake, worker error reports,
-//     EOF on child exit). Zero-copy ACROSS the process boundary:
-//     process isolation at thread-backend speed.
+//   * The forked transport (forked_transport.cpp, kProcess, kTcp and
+//     kShm) -- one forked worker PROCESS per worker (the lifecycle in
+//     runtime/forked_worker.hpp), whose messages travel as frames
+//     (runtime/serde.hpp) over one byte pipe (runtime/byte_pipe.hpp).
+//     The kinds differ only in the pipe and in where payloads live: a
+//     pre-fork socketpair(2) end with payloads inline (kProcess), a dial
+//     to the master's loopback listen socket with payloads inline (kTcp,
+//     whose dropped connections may come back -- the worker redials and
+//     is re-admitted mid-run), or a pair of shared-memory byte rings
+//     whose frames name slots of a pre-fork SharedArena the endpoint
+//     packs each lent window into (kShm: zero-copy across the process
+//     boundary). The real isolation of the paper's MPI deployment: a
+//     SIGKILL'd child is a first-class worker failure the master
+//     survives under tolerate_faults.
 //
-// Stream and shm are done with a lent window when send returns; only a
-// thread worker reads one later, so only a thread run has loans out
+// A forked endpoint is done with a lent window when send returns; only
+// a thread worker reads one later, so only a thread run has loans out
 // between decisions (the loan rule in runtime/payload.hpp).
-//
-// The two fork-based transports share one worker-process lifecycle
-// (runtime/forked_worker.hpp) -- spawning, the hello -> ack handshake,
-// death classification and reaping -- and one frame format
-// (runtime/serde.hpp), which a socket and a ring carry alike.
 //
 // All preserve the semantic load-bearing bound of the simulator's
 // engine: a worker's inbox holds at most `inbox_capacity` messages (the
 // chunk plus prefetch_depth + 1 operand batches), so a master pushing
 // past a worker's buffer capacity BLOCKS -- channels enforce it with
-// their queue bound, the stream transport with explicit buffer credits
-// the worker returns as it dequeues, the shm transport by comparing its
-// sent counter against the worker's ack-board dequeue counter. A
-// real-cluster (MPI/ssh) transport is a drop-in implementation of the
-// same interface.
+// their queue bound, the forked transport with explicit buffer credits:
+// every frame the master ships consumes one, and the worker sends one
+// back as a kCredit frame on its pipe each time it dequeues a message,
+// before it computes. A real-cluster (MPI/ssh) transport is a drop-in
+// implementation of the same interface.
 //
 // The master never has to find that out by blocking: Endpoint::can_send
 // says whether the inbox has a free slot right now, and when none of a
 // job's workers can act, Transport::wait_any parks the master on all of
 // them at once until the first result, freed slot or death -- a
-// condition variable on the thread transport, poll(2) over the sockets
-// on the stream transport, a futex word on the shm ack board.
+// condition variable on the thread transport; on the forked transport
+// poll(2) over the workers' sockets, or on shm a futex bell every
+// worker rings when it writes to its ring.
 #pragma once
 
 #include <chrono>
@@ -94,12 +83,12 @@ struct TransportStats {
   std::size_t bytes_sent = 0;         // serialized frame bytes out
   std::size_t bytes_received = 0;     // serialized frame bytes in
   /// Master-side wall seconds spent encoding and decoding frames: the
-  /// serialization overhead the stream transport pays per run.
+  /// serialization overhead the forked transport pays per run.
   double serde_seconds = 0.0;
   /// Payload bytes that crossed the process boundary WITHOUT being
-  /// copied (shm transport: bytes whose frames named an arena slot).
+  /// copied (shm: bytes whose frames named an arena slot).
   std::size_t bytes_zero_copied = 0;
-  /// Shared-arena occupancy (shm transport only): total slots, the
+  /// Shared-arena occupancy (shm only): total slots, the
   /// high-water mark of simultaneously held slots, and slots still held
   /// at shutdown (must be 0 -- anything else is a reclamation bug).
   std::size_t arena_slots = 0;
@@ -130,10 +119,9 @@ class Endpoint {
 
   /// True while the worker's bounded inbox has a free slot, i.e. send()
   /// would not wait for the worker to dequeue: the channel is below
-  /// capacity (thread), a buffer credit is in hand (stream), or fewer
-  /// than `inbox_capacity` sent frames are unacknowledged (shm). The
-  /// stream endpoint learns of returned credits when try_recv() pumps
-  /// its socket, so its answer is as fresh as the master's last sweep.
+  /// capacity (thread), or a buffer credit is in hand (forked). A forked
+  /// endpoint learns of returned credits when try_recv() pumps its
+  /// pipe, so its answer is as fresh as the master's last sweep.
   virtual bool can_send() const = 0;
 
   /// Non-blocking receive of a finished chunk; nullopt when none is
@@ -162,14 +150,14 @@ class Endpoint {
 
   /// Hands every payload still queued on the endpoint back to the pool
   /// (a dead worker's in-flight messages must not leak their buffers,
-  /// nor keep the loans of the windows they carry).
-  /// The shm endpoint additionally reclaims every arena slot the dead
-  /// worker still held -- including slots a SIGKILL'd child was holding
-  /// mid-compute -- so fault recovery never leaks arena capacity.
+  /// nor keep the loans of the windows they carry). On shm it also
+  /// reclaims every arena slot the dead worker still held -- including
+  /// slots a SIGKILL'd child was holding mid-compute -- so fault
+  /// recovery never leaks arena capacity.
   virtual void drain(BufferPool& pool) = 0;
 
   /// Worker re-admission: a transport whose workers can come BACK (the
-  /// kTcp stream's reconnect lifecycle) reports here that a failed
+  /// kTcp reconnect lifecycle) reports here that a failed
   /// worker re-established its connection -- the endpoint is healthy
   /// again (fresh connection, credits reset, sticky failure cleared)
   /// and the master may resume scheduling it. The master polls this
@@ -204,10 +192,14 @@ class Transport {
   /// Returns at once when one already holds; an early return is
   /// allowed, the caller looks at its workers again either way. The
   /// thread transport's workers notify the condition variable of the
-  /// master parked on them, and only for what it waits for; the stream
-  /// transport's master sleeps in poll(2) over the sockets; the shm
-  /// transport's on a futex word of the ack board that every worker
-  /// bumps, waking a parked master.
+  /// master parked on them, and only for what it waits for. A forked
+  /// master on sockets sleeps in poll(2) over them: a credit, a result,
+  /// a death notice or an EOF all arrive as readable bytes. On shm it
+  /// first checks each worker through shared memory (unread ring bytes,
+  /// a result or credit in hand, a raised rx hint) and then sleeps on
+  /// the ack board's bell, which every worker rings when it writes to
+  /// its outbox ring or ships a death notice -- at most 10 ms at a time,
+  /// since a SIGKILL'd child never rings.
   virtual void wait_any(const std::vector<Await>& awaits,
                         std::chrono::milliseconds timeout) = 0;
 
@@ -225,11 +217,11 @@ class Transport {
 /// master-side payload pool: the thread transport shares it with its
 /// workers (zero-copy), the forked transports decode inline payloads
 /// into it while each child owns a private pool in its own address
-/// space. `max_payload_doubles` is the largest
-/// single payload the run can ship (from the partition geometry): the
-/// shm transport sizes its arena slots with it, and every serializing
-/// transport derives its per-endpoint frame-length limit from it
-/// (serde::max_frame_bytes_for) so corrupt prefixes fail cleanly.
+/// space. `max_payload_doubles` is the largest single payload the run
+/// can ship (from the partition geometry): shm sizes its arena slots
+/// with it, and the forked transport derives its frame-length limit
+/// from it (serde::max_frame_bytes_for) so corrupt prefixes fail
+/// cleanly.
 std::unique_ptr<Transport> make_transport(
     TransportKind kind, int workers, std::size_t inbox_capacity,
     const ExecutorOptions& options,
@@ -240,15 +232,10 @@ std::unique_ptr<Transport> make_thread_transport(
     int workers, std::size_t inbox_capacity, const ExecutorOptions& options,
     std::chrono::steady_clock::time_point run_begin, BufferPool* pool);
 
-/// `kind` is kProcess or kTcp.
-std::unique_ptr<Transport> make_stream_transport(
+/// `kind` is kProcess, kTcp or kShm.
+std::unique_ptr<Transport> make_forked_transport(
     TransportKind kind, int workers, std::size_t inbox_capacity,
     const ExecutorOptions& options,
-    std::chrono::steady_clock::time_point run_begin, BufferPool* pool,
-    std::size_t max_payload_doubles);
-
-std::unique_ptr<Transport> make_shm_transport(
-    int workers, std::size_t inbox_capacity, const ExecutorOptions& options,
     std::chrono::steady_clock::time_point run_begin, BufferPool* pool,
     std::size_t max_payload_doubles);
 

@@ -1,15 +1,15 @@
 // The worker side of the runtime protocol, extracted so it runs
 // IDENTICALLY in a std::thread (ThreadTransport) and in a forked child
-// process (StreamTransport, ShmTransport): receive a chunk, then per
-// step receive an operand batch, perform the real block updates (with
-// the paper's
-// emulated slowdown, the wall-clock perturbation schedule, scheduled
-// faults and the fault-injection hook), and hand the finished chunk
-// back with its measured per-step latencies.
+// process (the forked transport, over a socket or an shm ring pair):
+// receive a chunk, then per step receive an operand batch, perform the
+// real block updates (with the paper's emulated slowdown, the
+// wall-clock perturbation schedule, scheduled faults and the
+// fault-injection hook), and hand the finished chunk back with its
+// measured per-step latencies.
 //
 // The transport a worker runs over is abstracted as a WorkerPort; the
-// loop itself never knows whether its messages cross a channel or a
-// socket. Errors propagate by exception to the caller, which owns the
+// loop itself never knows whether its messages cross a channel, a
+// socket or a ring. Errors propagate by exception to the caller, which owns the
 // transport-specific death protocol (a thread records the exception and
 // closes its channels; a child process ships a kError notice, exits
 // non-zero and lets the socket EOF carry the rest).

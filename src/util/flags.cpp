@@ -1,5 +1,7 @@
 #include "util/flags.hpp"
 
+#include <cstdlib>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -58,6 +60,17 @@ void Flags::parse(int argc, const char* const* argv) {
       }
     }
     values_[name] = value;
+  }
+}
+
+void Flags::parse_or_exit(int argc, const char* const* argv) {
+  try {
+    parse(argc, argv);
+  } catch (const std::invalid_argument& error) {
+    const std::string program = argc > 0 ? argv[0] : "program";
+    std::cerr << "error: " << error.what() << '\n'
+              << usage("usage: " + program + " [--flag=value ...]");
+    std::exit(2);
   }
 }
 

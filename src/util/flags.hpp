@@ -23,6 +23,9 @@ class Flags {
   /// Parses argv; throws std::invalid_argument on unknown/malformed flags.
   /// Recognizes --help and sets help_requested().
   void parse(int argc, const char* const* argv);
+  /// parse() for a program's main(): an unknown or malformed flag prints
+  /// the error and the usage to stderr and exits with status 2.
+  void parse_or_exit(int argc, const char* const* argv);
 
   bool help_requested() const { return help_requested_; }
   std::string usage(const std::string& program_description) const;

@@ -482,7 +482,11 @@ TEST(Service, DaemonPersistsCalibrationAcrossRestarts) {
   const JobResult result = Client(revived).run(spec);
   ASSERT_EQ(result.state, JobState::kCompleted) << result.error;
   expect_bitwise_equal(result.c, standalone_product(spec, test_platform()));
+  // Shut down before the unlink: shutdown() persists the cache, so the
+  // destructor's implied shutdown would write the file back.
+  revived.shutdown();
   ::unlink(path.c_str());
+  EXPECT_NE(::access(path.c_str(), F_OK), 0) << path << " outlived the test";
 }
 
 // ---- TCP front-end ----------------------------------------------------------

@@ -1,11 +1,13 @@
 // Tests for the zero-copy shm transport: SharedArena slot accounting
 // (acquire/release, owner-tagged crash reclamation, the benign
-// double-release race, leak counters, cross-thread stress), slot
+// double-release race, leak counters, cross-thread stress), both byte
+// pipes driven from two threads of one process (a ring pair and a
+// socketpair: frames whole and in order, bounded parks), slot
 // references through the one frame codec against a real arena (and
 // their rejection without one), cross-transport parity
 // (thread vs shm backends produce identical decision sequences and
 // bit-for-bit identical C for every registered scheduler),
-// Endpoint::can_send against the worker's ack-board count, a shutdown
+// Endpoint::can_send against the worker's returned credits, a shutdown
 // behind queued operands, SIGKILL'd workers as recoverable failures
 // WITH no arena slot leaked, the
 // zero-copy stats the transport reports, and the core facade's
@@ -13,22 +15,29 @@
 //
 // Like the process suite, everything that forks worker processes SKIPS
 // under ThreadSanitizer (fork from a multithreaded parent breaks the
-// TSan runtime); the arena unit and stress tests stay, keeping the
+// TSan runtime); the arena and pipe tests stay, keeping the
 // shared-memory atomics under the sanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "core/experiment.hpp"
 #include "core/run.hpp"
 #include "inbox_probe.hpp"
+#include "runtime/byte_pipe.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/serde.hpp"
 #include "runtime/shared_arena.hpp"
@@ -159,6 +168,139 @@ TEST(SharedArena, ConcurrentAcquireReleaseKeepsEverySlotAccounted) {
   const SharedArena::Stats stats = arena.stats();
   EXPECT_EQ(stats.acquires, stats.releases);
   EXPECT_LE(stats.peak_in_use, kSlots);
+}
+
+// ---- both byte pipes, in-process --------------------------------------------
+
+// The forked transport runs every pipe through worker processes, which
+// TSan cannot follow; these tests drive a ring pair and a socketpair from
+// two threads of one process, so the ring's cursor ordering runs under
+// every sanitizer.
+
+constexpr std::size_t kPipeFrames = 2000;
+constexpr int kPipeParkMs = 10;
+
+/// Byte `j` of frame `i`'s body, recomputed by the reader to check it.
+std::uint8_t pipe_byte(std::size_t i, std::size_t j) {
+  return static_cast<std::uint8_t>(i * 131 + j * 7 + (j >> 9));
+}
+
+/// Streams kPipeFrames seeded frames -- every other one up to 64 B, so
+/// many share a ring lap, the rest up to 3 x kRingBytes, so they span
+/// laps -- from a writer thread through `writer`, parking while it is
+/// full, then calls `finish`. The calling thread cuts what `reader`
+/// delivers with a FrameSplitter, parking while it is empty: every frame
+/// must come out whole, in order and byte-identical, followed by an EOF
+/// when `eof_follows` and by nothing otherwise.
+void expect_frames_arrive_whole(BytePipe& writer, BytePipe& reader,
+                                const std::function<void()>& finish,
+                                bool eof_follows) {
+  util::Rng rng(25);
+  std::vector<std::size_t> sizes(kPipeFrames);
+  for (std::size_t i = 0; i < sizes.size(); ++i)
+    sizes[i] = static_cast<std::size_t>(rng.uniform_int(
+        1, i % 2 == 0 ? 64 : static_cast<std::int64_t>(3 * kRingBytes)));
+
+  std::atomic<bool> stop{false};
+  std::thread producer([&] {
+    serde::ByteBuffer frame;
+    for (std::size_t i = 0; i < sizes.size() && !stop.load(); ++i) {
+      const std::uint64_t length = sizes[i];
+      frame.assign(serde::kLengthBytes, 0);
+      std::memcpy(frame.data(), &length, sizeof length);
+      for (std::size_t j = 0; j < sizes[i]; ++j)
+        frame.push_back(pipe_byte(i, j));
+      for (std::size_t sent = 0; sent < frame.size() && !stop.load();) {
+        const std::size_t n =
+            writer.write_some(frame.data() + sent, frame.size() - sent);
+        if (n == 0) writer.park(/*writable=*/true, kPipeParkMs);
+        sent += n;
+      }
+    }
+    finish();
+  });
+
+  serde::FrameSplitter rx(3 * kRingBytes);
+  std::size_t received = 0;
+  std::size_t damaged = 0;
+  bool open = true;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (received < sizes.size() && open &&
+         std::chrono::steady_clock::now() < deadline) {
+    open = reader.read_into(rx);
+    const std::size_t before = received;
+    while (const auto frame = rx.next()) {
+      bool whole = received < sizes.size() && frame->size() == sizes[received];
+      for (std::size_t j = 0; whole && j < frame->size(); ++j)
+        whole = (*frame)[j] == pipe_byte(received, j);
+      if (!whole) ++damaged;
+      ++received;
+    }
+    if (received == before && open)
+      reader.park(/*writable=*/false, kPipeParkMs);
+  }
+  stop.store(true);
+  producer.join();
+
+  EXPECT_EQ(received, sizes.size());
+  EXPECT_EQ(damaged, 0u);
+  open = reader.read_into(rx);
+  while (eof_follows && open && std::chrono::steady_clock::now() < deadline) {
+    reader.park(/*writable=*/false, kPipeParkMs);
+    open = reader.read_into(rx);
+  }
+  EXPECT_EQ(open, !eof_follows);
+  EXPECT_FALSE(rx.next().has_value()) << "bytes after the last frame";
+}
+
+TEST(BytePipes, RingPairCarriesEveryFrameWholeAndInOrder) {
+  // The worker's side writes its outbox and rings the bell each time.
+  const auto channel = std::make_unique<RingChannel>();
+  SharedAckBoard board(1);
+  RingPipe worker(channel->inbox, channel->outbox, &board);
+  RingPipe master(channel->outbox, channel->inbox);
+  expect_frames_arrive_whole(worker, master, [] {}, /*eof_follows=*/false);
+  EXPECT_GT(board.bell_count(), 0u);
+}
+
+TEST(BytePipes, SocketPairCarriesEveryFrameWholeAndInOrder) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  SocketPipe writer(fds[0]);
+  SocketPipe reader(fds[1]);
+  expect_frames_arrive_whole(
+      writer, reader, [&] { ::shutdown(fds[0], SHUT_WR); },
+      /*eof_follows=*/true);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST(BytePipes, ParkedSidesReturnWithinTheirTimeout) {
+  // Nothing will ever arrive, and nobody drains what is written: each
+  // side parks on an empty pipe, then on a full one, and every park must
+  // end on its own bound.
+  const auto channel = std::make_unique<RingChannel>();
+  RingPipe ring(channel->outbox, channel->inbox);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  SocketPipe socket(fds[0]);
+  const std::vector<std::uint8_t> block(4096, 0x5a);
+  for (BytePipe* pipe : {static_cast<BytePipe*>(&ring),
+                         static_cast<BytePipe*>(&socket)}) {
+    for (const bool writable : {false, true}) {
+      while (writable && pipe->write_some(block.data(), block.size()) > 0) {
+      }
+      const auto begin = std::chrono::steady_clock::now();
+      pipe->park(writable, /*timeout_ms=*/20);
+      EXPECT_LT(std::chrono::steady_clock::now() - begin,
+                std::chrono::seconds(1))
+          << (writable ? "a writer" : "a reader")
+          << " parked past its timeout";
+    }
+  }
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 // ---- slot references in the one codec ---------------------------------------
